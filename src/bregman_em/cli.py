@@ -3,7 +3,7 @@
 ``bregman-em run problem.json`` solves the problem described by a JSON
 file and prints a JSON summary to stdout; ``--trace`` writes a
 deterministic per-round CSV, ``--sweep D0:D1:STEPS`` solves a grid of
-distortion levels concurrently, and ``--bits`` adds base-2 display
+distortion levels one after another, and ``--bits`` adds base-2 display
 fields next to the nats values.  ``bregman-em verify-bounds trace.csv
 --reference R`` checks every recorded objective against its bound
 column (or against log(cardinality)/(t-1) with ``--cardinality``).
@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -439,8 +438,7 @@ def _command_run(args) -> int:
             entry["iterations"] = int(solution.iterations)
             return entry
 
-        with ThreadPoolExecutor() as pool:
-            entries = list(pool.map(solve_at, levels))
+        entries = [solve_at(level) for level in levels]
         statuses = {e["status"] for e in entries}
         overall = ("infeasible" if "infeasible" in statuses else
                    "did_not_converge" if "did_not_converge" in statuses

@@ -226,6 +226,14 @@ def _require_member(exp_family: ExponentialSubfamily, theta) -> np.ndarray:
     return theta
 
 
+def _newton_seed(exp_family: ExponentialSubfamily, theta_e):
+    """Coefficients that seed the next e-step's Newton solve; None for
+    families whose e-projection is in closed form and needs no seed."""
+    if exp_family._closed_e_projection is not None:
+        return None
+    return exp_family.coefficients_of(theta_e)[0]
+
+
 def run_em(system: BregmanSystem, exp_family: ExponentialSubfamily,
            mix_family: MixtureSubfamily, theta_init,
            options: Optional[EmOptions] = None) -> EmTrace:
@@ -246,7 +254,7 @@ def run_em(system: BregmanSystem, exp_family: ExponentialSubfamily,
         theta_m = projection.theta
         pre_e = core.divergence(system, theta_m, theta_e)
         theta_e = e_project(system, exp_family, theta_m, beta_init=beta)
-        beta, _ = exp_family.coefficients_of(theta_e)
+        beta = _newton_seed(exp_family, theta_e)
         objective = core.divergence(system, theta_m, theta_e)
         if loop.record(t, theta_m, theta_e, None, tau, pre_e, objective,
                        projection.constraint_residual, 0.0):
@@ -285,7 +293,7 @@ def run_em_approx(system: BregmanSystem, exp_family: ExponentialSubfamily,
                 "the repaired iterate is not a family member")
         pre_e = core.divergence(system, theta_repaired, theta_e)
         theta_e = e_project(system, exp_family, theta_bar, beta_init=beta)
-        beta, _ = exp_family.coefficients_of(theta_e)
+        beta = _newton_seed(exp_family, theta_e)
         objective = core.divergence(system, theta_repaired, theta_e)
         residual = float(np.max(np.abs(
             mix_family.residuals(system, theta_repaired))))
@@ -314,7 +322,7 @@ def run_em_closed_convex(system: BregmanSystem,
         theta_m = projection.theta
         pre_e = core.divergence(system, theta_m, theta_e)
         theta_e = e_project(system, exp_family, theta_m, beta_init=beta)
-        beta, _ = exp_family.coefficients_of(theta_e)
+        beta = _newton_seed(exp_family, theta_e)
         objective = core.divergence(system, theta_m, theta_e)
         if loop.record(t, theta_m, theta_e, None, projection.tau, pre_e,
                        objective, projection.constraint_residual, 0.0,

@@ -54,6 +54,10 @@ class ExponentialSubfamily:
     ``generators`` has shape (d, l) with independent columns.
     """
 
+    #: ``(system, theta) -> beta`` of the e-projection in closed form;
+    #: families the solvers build override it, None means damped Newton
+    _closed_e_projection = None
+
     def __init__(self, anchor, generators):
         anchor = np.asarray(anchor, dtype=float)
         generators = np.asarray(generators, dtype=float)
@@ -139,9 +143,15 @@ def e_project(system: BregmanSystem, family: ExponentialSubfamily,
     coordinates agree with those of ``theta`` along the generators.
 
     Minimizes ``D(theta || .)`` over the family; the solve is a damped
-    Newton iteration on the reduced convex potential.
+    Newton iteration on the reduced convex potential.  Families with a
+    closed form skip the solve and ignore ``beta_init``: on the product
+    families of the rate-distortion solvers the projection is the
+    output marginal ``q``, with ``beta = log q[1:] - log q[0]``, and an
+    empty or underflowed output cell raises SupportError.
     """
     theta = np.asarray(theta, dtype=float)
+    if family._closed_e_projection is not None:
+        return family.embed(family._closed_e_projection(system, theta))
     V = family.generators
     target = V.T @ core.to_mixture(system, theta)
     if beta_init is None:

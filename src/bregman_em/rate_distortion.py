@@ -33,7 +33,7 @@ from .convex import bisect, bisect_to_tolerance, expand_bracket
 from .em import (EmIterate, EmOptions, EmTrace, run_em, run_em_approx,
                  run_em_closed_convex)
 from .errors import (ArgumentError, ConvergenceError, InfeasibleError,
-                     RankError)
+                     RankError, SupportError)
 from .families import (ClosedConvexMixtureFamily, ExponentialSubfamily,
                        LinearInequality, MixtureSubfamily)
 
@@ -55,6 +55,7 @@ MODES = ("equality", "inequality")
 
 _FEAS_TOL = 1e-12
 _ROOT_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -414,13 +415,50 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
         trace=trace, feasibility=report)
 
 
+class _ProductFamily(ExponentialSubfamily):
+    """Products of the source law with a free output distribution.
+
+    ``output_marginal(system, theta)`` is the output law of the point
+    ``theta``.  The e-projection onto products is that marginal
+    (Blahut 1972), so it needs no Newton solve.
+    """
+
+    def __init__(self, anchor, generators, output_marginal):
+        super().__init__(anchor, generators)
+        self._output_marginal = output_marginal
+
+    def _closed_e_projection(self, system, theta) -> np.ndarray:
+        with np.errstate(under="ignore"):
+            q = self._output_marginal(system, theta)
+        if not np.all(q >= _TINY):
+            raise SupportError("an output cell of the marginal is empty or "
+                               "underflowed; the optimal support is smaller "
+                               "than the output alphabet")
+        log_q = np.log(q)
+        return log_q[1:] - log_q[0]
+
+
 def _product_family(system: ConditionalSystem) -> ExponentialSubfamily:
     """Product channels inside a conditional system: every input row
     shares one output distribution."""
     k = system.n_outputs - 1
     anchor = np.zeros(system.n_inputs * k)
     generators = np.tile(np.eye(k), (system.n_inputs, 1))
-    return ExponentialSubfamily(anchor, generators)
+    return _ProductFamily(anchor, generators,
+                          lambda sys, theta: sys.p_x @ sys.channel(theta))
+
+
+def _joint_product_family(p_x, n2: int) -> ExponentialSubfamily:
+    """Products ``p_x(x) q(y)`` inside the canonical simplex system of
+    joints on ``n1 * n2`` cells, laid out input-major with cell (0, 0)
+    as the reference."""
+    n1 = p_x.size
+    anchor = np.repeat(np.log(p_x / p_x[0]), n2)[1:]
+    generators = np.tile(np.eye(n2)[:, 1:], (n1, 1))[1:, :]
+    return _ProductFamily(
+        anchor, generators,
+        lambda sys, theta: sys.distribution(theta).reshape(n1, n2).sum(
+            axis=0))
 
 
 def solve_rd_bisection(p_x, distortion, level: float, eps: float,
@@ -838,15 +876,17 @@ def solve_rd_fulldim(p_x, distortion, level: float, mode: str = "equality",
     targets.append(target)
     mix_family = MixtureSubfamily(np.stack(directions), np.array(targets))
 
-    anchor = np.repeat(np.log(p_x / p_x[0]), n2)[1:]
-    generators = np.tile(np.eye(n2)[:, 1:], (n1, 1))[1:, :]
-    exp_family = ExponentialSubfamily(anchor, generators)
-
-    trace = run_em(system, exp_family, mix_family, anchor, options)
+    exp_family = _joint_product_family(p_x, n2)
+    trace = run_em(system, exp_family, mix_family, exp_family.anchor,
+                   options)
     joint = system.distribution(trace.final_theta).reshape(n1, n2)
     w = joint / joint.sum(axis=1, keepdims=True)
     q = joint.sum(axis=0)
     rate = mutual_information(joint)
+    if not (np.all(q > 0.0) and math.isfinite(rate)):
+        raise SupportError("the final joint has an empty output cell or "
+                           "a rate that is not finite; the optimal support "
+                           "is smaller than the output alphabet")
     distortion_value = float(np.sum(joint * d))
     final_record = trace.record_for(trace.final_index)
     return RdSolution(

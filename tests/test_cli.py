@@ -3,14 +3,15 @@ trace files, and the bound checker."""
 
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bregman_em import (ArgumentError, DensityMatrix, FormatError,
-                        SchemaError, load_problem, mutual_information,
-                        verify_bounds)
+                        SchemaError, SupportError, cli, load_problem,
+                        mutual_information, verify_bounds)
 from bregman_em.cli import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -271,6 +272,30 @@ def test_sweep_reports_per_level_status(tmp_path, capsys):
     assert report["status"] == "infeasible"
     statuses = [e["status"] for e in report["sweep"]]
     assert statuses == ["infeasible", "converged", "converged"]
+
+
+def test_sweep_runs_levels_serially_and_stops_at_an_error(
+        tmp_path, capsys, monkeypatch):
+    solve = cli._solve_single
+    calls = []
+
+    def recording(kind, payload, mode, options, eps, extra, level):
+        calls.append((level, threading.current_thread()))
+        if level > 0.2:
+            raise SupportError("empty output cell")
+        return solve(kind, payload, mode, options, eps, extra, level)
+
+    monkeypatch.setattr(cli, "_solve_single", recording)
+    problem = write_problem(tmp_path, BINARY_PROBLEM)
+    code, out, err = run_cli(capsys, "run", str(problem), "--sweep",
+                             "0.05:0.45:5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: empty output cell\n"
+    levels = [level for level, _ in calls]
+    assert levels == pytest.approx(list(np.linspace(0.05, 0.45, 5))[:3])
+    assert levels == sorted(levels)
+    assert all(thread is threading.main_thread() for _, thread in calls)
 
 
 def test_sweep_spec_validation(tmp_path, capsys):
