@@ -73,6 +73,14 @@ def mutual_information(joint) -> float:
     return kl_divergence(joint.ravel(), np.outer(p_row, p_col).ravel())
 
 
+def _channel_theta(w) -> np.ndarray:
+    """``log w[:, 1:] - log w[:, :1]`` of a strictly positive channel,
+    input-major.  Taking logs first keeps a subnormal reference cell
+    from overflowing the quotient ``w[:, 1:] / w[:, :1]``."""
+    log_w = np.log(w)
+    return (log_w[:, 1:] - log_w[:, :1]).ravel()
+
+
 def floor_distribution(p, eps: float = 1e-12) -> np.ndarray:
     """Clamp entries below ``eps`` up to ``eps`` and renormalize.
 
@@ -218,7 +226,7 @@ class ConditionalSystem(BregmanSystem):
             raise SupportError("channel must be strictly positive")
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-8:
             raise ArgumentError("channel rows must sum to one")
-        return np.log(w[:, 1:] / w[:, :1]).ravel()
+        return _channel_theta(w)
 
     def _potential(self, theta):
         blocks = self._blocks(theta)

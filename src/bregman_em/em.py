@@ -78,6 +78,8 @@ class EmIterate:
     ``theta_e`` the e-step output, ``theta_bar`` the raw approximate
     iterate when applicable.  ``selection_value`` is the final-round
     selection criterion D(theta_m||previous e) - D(theta_m||theta_bar).
+    The tilt solvers (``solve_rd``, ``solve_rd_side_info``) leave
+    ``theta_m`` and ``theta_e`` empty: their records hold scalars only.
     """
 
     t: int

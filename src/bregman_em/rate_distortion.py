@@ -6,7 +6,11 @@ distributions with the source marginal and the prescribed mean
 distortion.  The m-step tilts the current output distribution by an
 exponential weight in the distortion and solves a one-dimensional
 convex root-finding problem for the tilt parameter; the e-step
-marginalizes.  Rates are reported in nats.
+marginalizes.  In :func:`solve_rd` and :func:`solve_rd_side_info` that
+root comes from a safeguarded Newton iteration on the mean distortion,
+whose derivative is the tilted variance of the distortion (bisection
+takes over when a step leaves the sign-change bracket or the steps run
+out).  Rates are reported in nats.
 
 Variants: a budgeted solver whose m-step runs a fixed number of
 bisection halvings and repairs the iterate by a two-point mixture, a
@@ -25,7 +29,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .classical import (ConditionalSystem, FeasibilityReport,
-                        _check_distribution, canonical_simplex_system,
+                        _channel_theta, _check_distribution,
+                        canonical_simplex_system,
                         conditional_expectation_constraint,
                         distortion_feasibility, kl_divergence,
                         mutual_information, simplex_expectation_constraint)
@@ -55,6 +60,7 @@ MODES = ("equality", "inequality")
 
 _FEAS_TOL = 1e-12
 _ROOT_TOL = 1e-12
+_NEWTON_STEPS = 8
 _TINY = np.finfo(float).tiny
 
 
@@ -316,19 +322,73 @@ def _joint_kl(p_x, w, q) -> float:
     return kl_divergence(joint.ravel(), np.outer(p_x, q).ravel())
 
 
+def _newton_tilt(tilt, tau: float,
+                 step0: float) -> tuple[float, np.ndarray]:
+    """Root of the increasing residual ``g(tau) = E_tau[d] - level``.
+
+    ``tilt(tau)`` returns ``(g, g', w)``: the residual, its derivative
+    (the tilted variance of the distortion) and the tilted channel.
+    Safeguarded Newton in the style of ``rtsafe``: the root is
+    bracketed by :func:`expand_bracket` from ``tau`` with ``step0``,
+    a Newton step that leaves the shrinking sign-change bracket is
+    replaced by the bracket's midpoint, and :func:`bisect_to_tolerance`
+    finishes on the bracket when ``|g| <= _ROOT_TOL`` is still unmet
+    after ``_NEWTON_STEPS`` steps.  Returns the root and the channel
+    computed at exactly that root.
+    """
+    seen = {}
+
+    def evaluate(x):
+        # the last three points: the bracket ends and the newest iterate
+        if x not in seen:
+            if len(seen) == 3:
+                del seen[next(iter(seen))]
+            seen[x] = tilt(x)
+        return seen[x]
+
+    def g(x):
+        return evaluate(x)[0]
+
+    a = b = tau
+    if not abs(g(tau)) <= _ROOT_TOL:    # a NaN residual brackets too
+        a, b = expand_bracket(g, tau, step0)
+        for x, (gx, _, _) in seen.items():
+            if gx < 0.0:
+                a = max(a, x)
+            elif gx > 0.0:
+                b = min(b, x)
+    x = min(seen, key=lambda v: abs(seen[v][0]))
+    gx, slope, w = seen[x]
+    steps = 0
+    while not abs(gx) <= _ROOT_TOL:
+        if gx < 0.0:
+            a = x
+        else:
+            b = x
+        if steps == _NEWTON_STEPS:
+            x = bisect_to_tolerance(g, a, b, value_tolerance=_ROOT_TOL).x
+            return x, evaluate(x)[2]
+        steps += 1
+        x = x - gx / slope if slope > 0.0 else math.nan
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        gx, slope, w = evaluate(x)
+    return x, w
+
+
 def _find_tilt(p_x, q, d, level, tau_start: float,
                step0: float) -> tuple[float, np.ndarray]:
-    """Tilt parameter matching the mean distortion, plus the channel."""
+    """Tilt parameter matching the mean distortion, plus the channel
+    at exactly that tilt (safeguarded Newton, :func:`_newton_tilt`)."""
 
-    def g(tau):
-        return _mean_distortion(p_x, _tilted_channel(q, tau, d), d) - level
+    def tilt(tau):
+        w = _tilted_channel(q, tau, d)
+        mean = (w * d).sum(axis=1)
+        variance = (w * (d - mean[:, None]) ** 2).sum(axis=1)
+        return (_mean_distortion(p_x, w, d) - level, float(p_x @ variance),
+                w)
 
-    if abs(g(tau_start)) <= _ROOT_TOL:
-        tau = tau_start
-    else:
-        a, b = expand_bracket(g, tau_start, step0)
-        tau = bisect_to_tolerance(g, a, b, value_tolerance=_ROOT_TOL).x
-    return tau, _tilted_channel(q, tau, d)
+    return _newton_tilt(tilt, tau_start, step0)
 
 
 def solve_rd(p_x, distortion, level: float, mode: str = "equality",
@@ -337,12 +397,19 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
     """Minimize mutual information under a mean-distortion constraint.
 
     Each round tilts the current output marginal exponentially in the
-    distortion, solving for the tilt that meets the level exactly, and
-    then replaces the marginal by the tilted channel's output
-    distribution.  Monotone descent with gap bounded by
-    log(n_outputs)/(t-1) from the uniform start.  Inequality mode
-    returns a rate-zero product solution whenever the ceiling is slack;
-    otherwise the constraint binds and the equality iteration runs.
+    distortion, solving for the tilt that meets the level exactly by a
+    safeguarded Newton iteration (:func:`_newton_tilt`), and then
+    replaces the marginal by the tilted channel's output distribution.
+    Monotone descent with gap bounded by log(n_outputs)/(t-1) from the
+    uniform start.  Inequality mode returns a rate-zero product solution
+    whenever the ceiling is slack; otherwise the constraint binds and
+    the equality iteration runs.
+
+    The records hold scalars only (``theta_m``/``theta_e`` stay None,
+    whatever ``low_memory`` says, and selection is off).
+    ``trace.final_theta`` holds the natural coordinates of the final
+    channel when every cell is positive and is None when an output is
+    empty.
     """
     p_x = _check_distribution(np.asarray(p_x, dtype=float), "p_x")
     d = _check_matrix(distortion, p_x.size)
@@ -366,8 +433,6 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
             raise ArgumentError("initial_marginal must have one entry per "
                                 "output")
 
-    keep = not options.low_memory
-    system = ConditionalSystem(p_x, n2) if keep else None
     records: list[EmIterate] = []
     converged = False
     tau = 0.0
@@ -389,10 +454,7 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
         record = EmIterate(
             t=t, objective=objective, pre_e_objective=pre_e, bound=bound,
             tau=np.array([tau]), constraint_residual=residual,
-            selection_value=pre_e,
-            theta_m=system.theta_of_channel(w) if keep else None,
-            theta_e=(system.theta_of_channel(np.tile(q_next, (p_x.size, 1)))
-                     if keep else None))
+            selection_value=pre_e)
         records.append(record)
         if options.iteration_hook is not None:
             options.iteration_hook(record)
@@ -405,8 +467,10 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
         previous_objective = objective
 
     trace = EmTrace(records=records, final_index=records[-1].t,
-                    final_theta=records[-1].theta_m, converged=converged,
-                    mode="exact", selection_enabled=keep)
+                    final_theta=(_channel_theta(w) if np.all(w > 0.0)
+                                 else None),
+                    converged=converged, mode="exact",
+                    selection_enabled=False)
     return RdSolution(
         rate=records[-1].objective, channel=w, output_marginal=q,
         tau=tau, distortion=distortion_value,
@@ -596,7 +660,9 @@ def solve_rd_side_info(p_xs, distortion, level: float,
     both the input and the side symbol, while the rate is the
     conditional mutual information I(input; output | side).  One global
     tilt parameter couples the per-side subproblems because they share
-    the distortion budget.
+    the distortion budget; each round finds it by the same safeguarded
+    Newton iteration as :func:`solve_rd`.  The records hold scalars
+    only and ``trace.final_theta`` is None.
     """
     p_xs = np.asarray(p_xs, dtype=float)
     if p_xs.ndim != 2:
@@ -677,18 +743,16 @@ def solve_rd_side_info(p_xs, distortion, level: float,
     w = None
     distortion_value = level
     for t in range(2, options.max_iterations + 1):
-        def g(value):
-            return mean_distortion(channel_at(value, q)) - level
+        def tilt(value):
+            w = channel_at(value, q)
+            mean = (w * d).sum(axis=2)
+            variance = (w * (d - mean[:, :, None]) ** 2).sum(axis=2)
+            return (mean_distortion(w) - level,
+                    float(np.einsum("xs,sx->", p_xs, variance)), w)
 
-        if abs(g(tau)) <= _ROOT_TOL:
-            new_tau = tau
-        else:
-            a, b = expand_bracket(g, tau, step0)
-            new_tau = bisect_to_tolerance(g, a, b,
-                                          value_tolerance=_ROOT_TOL).x
+        new_tau, w = _newton_tilt(tilt, tau, step0)
         step0 = max(1e-8, 4.0 * abs(new_tau - tau))
         tau = new_tau
-        w = channel_at(tau, q)
         pre_e = joint_kl(w, q)
         q_next = np.einsum("xs,sxy->sy", p_x_given_s, w)
         objective = joint_kl(w, q_next)

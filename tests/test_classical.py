@@ -1,6 +1,8 @@
 """Discrete probability systems: KL identities, channel geometry, and
 distortion feasibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,18 @@ def test_conditional_channel_round_trip():
     joint = system.joint(theta)
     assert np.allclose(joint.sum(axis=1), P_X, atol=1e-12)
     assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_conditional_theta_of_subnormal_reference_cell():
+    system = conditional_system(P_X, 3)
+    w = np.array([[1e-310, 0.4, 0.6],
+                  [0.2, 0.5, 0.3],
+                  [5e-324, 0.75, 0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = system.theta_of_channel(w)
+    assert np.all(np.isfinite(theta))
+    assert np.allclose(system.channel(theta), w, rtol=0.0, atol=1e-12)
 
 
 def test_conditional_same_channel_zero():
