@@ -120,13 +120,8 @@ class SimplexSystem(BregmanSystem):
         self.n_points = n
         canonical = (d == n - 1
                      and np.array_equal(features, np.eye(n)[:, 1:]))
-        super().__init__(
-            dim=d,
-            potential=self._potential,
-            gradient=self._gradient,
-            hessian=self._hessian,
-            inverse_gradient=self._inverse_gradient if canonical else None,
-            name="simplex")
+        self._canonical = canonical
+        super().__init__(dim=d, name="simplex")
 
     def _scores(self, theta):
         return self.features @ np.asarray(theta, dtype=float)
@@ -138,21 +133,27 @@ class SimplexSystem(BregmanSystem):
         w = np.exp(z)
         return w / w.sum()
 
-    def _potential(self, theta):
+    def potential(self, theta):
         z = self._scores(theta)
         m = z.max()
         return m + np.log(np.exp(z - m).sum())
 
-    def _gradient(self, theta):
+    def gradient(self, theta):
         return self.features.T @ self.distribution(theta)
 
-    def _hessian(self, theta):
+    def hessian(self, theta):
         p = self.distribution(theta)
         eta = self.features.T @ p
         weighted = self.features * p[:, None]
         return self.features.T @ weighted - np.outer(eta, eta)
 
-    def _inverse_gradient(self, eta):
+    @property
+    def inverse_gradient(self):
+        """Closed-form mixture-to-natural map for the canonical
+        features, None otherwise."""
+        return self._canonical_inverse_gradient if self._canonical else None
+
+    def _canonical_inverse_gradient(self, eta):
         eta = np.asarray(eta, dtype=float)
         p0 = 1.0 - eta.sum()
         if p0 <= 0.0 or np.any(eta <= 0.0):
@@ -190,13 +191,8 @@ class ConditionalSystem(BregmanSystem):
         self.p_x = p_x
         self.n_inputs = p_x.size
         self.n_outputs = int(n_outputs)
-        super().__init__(
-            dim=self.n_inputs * (self.n_outputs - 1),
-            potential=self._potential,
-            gradient=self._gradient,
-            hessian=self._hessian,
-            inverse_gradient=self._inverse_gradient,
-            name="conditional")
+        super().__init__(dim=self.n_inputs * (self.n_outputs - 1),
+                         name="conditional")
 
     def _blocks(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -228,17 +224,17 @@ class ConditionalSystem(BregmanSystem):
             raise ArgumentError("channel rows must sum to one")
         return _channel_theta(w)
 
-    def _potential(self, theta):
+    def potential(self, theta):
         blocks = self._blocks(theta)
         m = np.maximum(blocks.max(axis=1), 0.0)
         z = np.exp(-m) + np.exp(blocks - m[:, None]).sum(axis=1)
         return float(self.p_x @ (m + np.log(z)))
 
-    def _gradient(self, theta):
+    def gradient(self, theta):
         w = self.channel(theta)
         return (self.p_x[:, None] * w[:, 1:]).ravel()
 
-    def _hessian(self, theta):
+    def hessian(self, theta):
         w = self.channel(theta)
         k = self.n_outputs - 1
         H = np.zeros((self.dim, self.dim))
@@ -248,7 +244,7 @@ class ConditionalSystem(BregmanSystem):
             H[x * k:(x + 1) * k, x * k:(x + 1) * k] = block
         return H
 
-    def _inverse_gradient(self, eta):
+    def inverse_gradient(self, eta):
         eta = np.asarray(eta, dtype=float)
         rest = eta.reshape(self.n_inputs, self.n_outputs - 1) \
             / self.p_x[:, None]

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .classical import canonical_simplex_system, simplex_system
-from .em import EmOptions, EmTrace, run_em
+from .em import EmOptions, EmTrace, _format_cell, run_em
 from .errors import (ArgumentError, BregmanEmError, ConvergenceError,
                      FormatError, InfeasibleError, SchemaError)
 from .families import ExponentialSubfamily, MixtureSubfamily
@@ -295,12 +295,6 @@ def _residual_extractor(kind: str, payload: dict, level):
     def extract(record):
         return record.constraint_residual, 0.0
     return extract
-
-
-def _format_cell(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return format(value, ".17g")
 
 
 def _write_cli_trace(path, trace: EmTrace, extract) -> None:

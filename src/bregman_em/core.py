@@ -63,20 +63,33 @@ class BregmanSystem:
     domain_check : optional predicate guarding evaluations.
     inverse_gradient : optional closed-form mixture-to-natural map;
         when absent the conversion falls back to a damped Newton solve.
+
+    A subclass defines these as methods instead of passing them: a
+    bound method stored on its own instance would keep the instance
+    alive in a reference cycle until a full collection.
     """
 
-    def __init__(self, dim: int, potential: Callable, gradient: Callable,
-                 hessian: Callable, domain_check: Optional[Callable] = None,
+    domain_check = None
+    inverse_gradient = None
+
+    def __init__(self, dim: int, potential: Optional[Callable] = None,
+                 gradient: Optional[Callable] = None,
+                 hessian: Optional[Callable] = None,
+                 domain_check: Optional[Callable] = None,
                  inverse_gradient: Optional[Callable] = None,
                  name: str = "bregman"):
         if dim < 1:
             raise ArgumentError("dim must be at least 1")
         self.dim = int(dim)
-        self.potential = potential
-        self.gradient = gradient
-        self.hessian = hessian
-        self.domain_check = domain_check
-        self.inverse_gradient = inverse_gradient
+        for key, fn in (("potential", potential), ("gradient", gradient),
+                        ("hessian", hessian), ("domain_check", domain_check),
+                        ("inverse_gradient", inverse_gradient)):
+            if fn is not None:
+                setattr(self, key, fn)
+        if not all(callable(getattr(self, key, None))
+                   for key in ("potential", "gradient", "hessian")):
+            raise ArgumentError("a system needs a potential, its gradient "
+                                "and its Hessian")
         self.name = name
 
     def contains(self, theta) -> bool:

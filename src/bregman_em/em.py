@@ -141,12 +141,22 @@ def exponential_bound(contraction: float, t: int,
     return contraction ** (t - 2) * initial_divergence
 
 
-def _check_options(options: Optional[EmOptions], mode: str) -> EmOptions:
+def _options(options: Optional[EmOptions],
+             default_iterations: int = 200) -> EmOptions:
+    """The caller's options, or the defaults with ``default_iterations``;
+    checks the fields every alternation reads."""
     if options is None:
-        options = EmOptions()
+        options = EmOptions(max_iterations=default_iterations)
     if options.max_iterations < 2:
         raise ArgumentError("max_iterations is the highest iterate index "
                             "and must be at least 2")
+    if options.objective_tolerance < 0.0:
+        raise ArgumentError("objective tolerance must be non-negative")
+    return options
+
+
+def _check_options(options: Optional[EmOptions], mode: str) -> EmOptions:
+    options = _options(options)
     if options.mode is not None and options.mode != mode:
         raise ArgumentError(
             f"options request mode {options.mode!r} but this entry point "
@@ -163,13 +173,21 @@ def _bound_at(options: EmOptions, t: int) -> float:
 
 
 class _Loop:
-    """Shared bookkeeping for the three entry points."""
+    """Shared bookkeeping for every alternation: the records, the bound
+    column, ``iteration_hook``, the |delta objective| stop and the
+    final selection.
 
-    def __init__(self, system: BregmanSystem, options: EmOptions, mode: str):
-        self.system = system
+    ``selection_enabled`` defaults to ``not options.low_memory``.  A
+    record keeps the natural coordinates it is given (and none under
+    ``low_memory``); a loop that gives none records scalars only.
+    """
+
+    def __init__(self, options: EmOptions, mode: str,
+                 selection_enabled: Optional[bool] = None):
         self.options = options
-        self.trace = EmTrace(mode=mode,
-                             selection_enabled=not options.low_memory)
+        if selection_enabled is None:
+            selection_enabled = not options.low_memory
+        self.trace = EmTrace(mode=mode, selection_enabled=selection_enabled)
         self._previous_objective = None
         self._best_value = math.inf
         self._best_index = 0
@@ -183,21 +201,24 @@ class _Loop:
         options = self.options
         selection_value = pre_e - bar_divergence
         keep_arrays = not options.low_memory
+
+        def kept(theta):
+            return np.array(theta) if keep_arrays and theta is not None \
+                else None
+
         record = EmIterate(
             t=t, objective=objective, pre_e_objective=pre_e,
             bound=_bound_at(options, t), tau=np.asarray(tau, dtype=float),
             constraint_residual=residual, selection_value=selection_value,
-            theta_m=np.array(theta_m) if keep_arrays else None,
-            theta_e=np.array(theta_e) if keep_arrays else None,
-            theta_bar=(np.array(theta_bar)
-                       if keep_arrays and theta_bar is not None else None),
-            facet_index=facet_index)
+            theta_m=kept(theta_m), theta_e=kept(theta_e),
+            theta_bar=kept(theta_bar), facet_index=facet_index)
         self.trace.records.append(record)
-        self._last_theta = np.array(theta_m)
+        theta = None if theta_m is None else np.array(theta_m)
+        self._last_theta = theta
         if selection_value < self._best_value:
             self._best_value = selection_value
             self._best_index = t
-            self._best_theta = np.array(theta_m)
+            self._best_theta = theta
         if options.iteration_hook is not None:
             options.iteration_hook(record)
         stop = False
@@ -209,9 +230,11 @@ class _Loop:
         self._previous_objective = objective
         return stop
 
-    def finish(self) -> EmTrace:
+    def finish(self, select: bool = True) -> EmTrace:
+        """The trace with its final round: the best selection value when
+        ``select`` and selection is enabled, the last round otherwise."""
         trace = self.trace
-        if trace.selection_enabled:
+        if select and trace.selection_enabled:
             trace.final_index = self._best_index
             trace.final_theta = self._best_theta
         else:
@@ -247,7 +270,7 @@ def run_em(system: BregmanSystem, exp_family: ExponentialSubfamily,
     """
     options = _check_options(options, "exact")
     theta_e = _require_member(exp_family, theta_init)
-    loop = _Loop(system, options, "exact")
+    loop = _Loop(options, "exact")
     tau = None
     beta = None
     for t in range(2, options.max_iterations + 1):
@@ -280,7 +303,7 @@ def run_em_approx(system: BregmanSystem, exp_family: ExponentialSubfamily,
     """
     options = _check_options(options, "approx_m_step")
     theta_e = _require_member(exp_family, theta_init)
-    loop = _Loop(system, options, "approx_m_step")
+    loop = _Loop(options, "approx_m_step")
     beta = None
     for t in range(2, options.max_iterations + 1):
         theta_bar, theta_repaired, tau = m_step_oracle(
@@ -313,7 +336,7 @@ def run_em_closed_convex(system: BregmanSystem,
     family through its facet cover."""
     options = _check_options(options, "closed_convex")
     theta_e = _require_member(exp_family, theta_init)
-    loop = _Loop(system, options, "closed_convex")
+    loop = _Loop(options, "closed_convex")
     beta = None
     inits: dict = {}
     for t in range(2, options.max_iterations + 1):
@@ -333,8 +356,8 @@ def run_em_closed_convex(system: BregmanSystem,
     return loop.finish()
 
 
-def _format_cell(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
+def _format_cell(value) -> str:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     return format(value, ".17g")
 

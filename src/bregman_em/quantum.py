@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BregmanSystem
-from .em import EmIterate, EmOptions, EmTrace
+from .em import EmOptions, EmTrace, _Loop, _options
 from .errors import (ArgumentError, ConvergenceError, InfeasibleError,
                      NotPositiveDefiniteError, RankError)
 
@@ -213,12 +213,7 @@ class QuantumSystem(BregmanSystem):
             raise ArgumentError("dimension must be at least 2")
         self.matrix_dim = int(dim)
         self.basis = gell_mann_basis(dim)
-        super().__init__(
-            dim=self.basis.shape[0],
-            potential=self._potential,
-            gradient=self._gradient,
-            hessian=self._hessian,
-            name=f"quantum({dim})")
+        super().__init__(dim=self.basis.shape[0], name=f"quantum({dim})")
 
     def _operator(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -230,16 +225,16 @@ class QuantumSystem(BregmanSystem):
         w = np.exp(lam - lam.max())
         return (u * (w / w.sum())) @ u.conj().T
 
-    def _potential(self, theta):
+    def potential(self, theta):
         lam = np.linalg.eigvalsh(self._operator(theta))
         m = lam.max()
         return float(m + math.log(np.exp(lam - m).sum()))
 
-    def _gradient(self, theta):
+    def gradient(self, theta):
         rho = self.state(theta)
         return np.einsum("aij,ji->a", self.basis, rho).real
 
-    def _hessian(self, theta):
+    def hessian(self, theta):
         lam, u = np.linalg.eigh(self._operator(theta))
         shifted = lam - lam.max()
         weights = np.exp(shifted)
@@ -429,11 +424,7 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
         raise ArgumentError("total dimension beyond %d is not supported"
                             % _MAX_TOTAL_DIM)
     level = float(level)
-    if options is None:
-        options = EmOptions(max_iterations=1000)
-    if options.max_iterations < 2:
-        raise ArgumentError("max_iterations is the highest iterate index "
-                            "and must be at least 2")
+    options = _options(options, 1000)
 
     delta_b = _delta_b(delta, rho_r, d_b)
     lam_b = np.linalg.eigvalsh(delta_b)
@@ -479,14 +470,10 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
         options = replace(options, reference_divergence=math.log(d_b))
 
     rho_e = np.kron(rho_r, eye_b / d_b)
-    records: list[EmIterate] = []
-    converged = False
+    loop = _Loop(options, "exact")
     tau = np.zeros(operators.shape[0])
     keep = not options.low_memory
     full_system = QuantumSystem(n) if keep else None
-    previous_objective = None
-    rho_m = rho_e
-    distortion_value = level
     for t in range(2, options.max_iterations + 1):
         log_prior = matrix_log(rho_e)
 
@@ -528,30 +515,17 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
         objective = relative_entropy(rho_m, rho_e)
         distortion_value = float(np.trace(rho_m @ delta).real)
         residual = float(np.max(np.abs(psi_grad(tau))))
-        bound = (options.reference_divergence / (t - 1)
-                 if options.reference_divergence is not None else math.nan)
-        record = EmIterate(
-            t=t, objective=objective, pre_e_objective=pre_e, bound=bound,
-            tau=tau.copy(), constraint_residual=residual,
-            selection_value=pre_e,
-            theta_m=(theta_of_state(full_system, rho_m) if keep else None))
-        records.append(record)
-        if options.iteration_hook is not None:
-            options.iteration_hook(record)
-        if previous_objective is not None and abs(
-                previous_objective - objective) \
-                < options.objective_tolerance:
-            converged = True
+        theta_m = theta_of_state(full_system, rho_m) if keep else None
+        if loop.record(t, theta_m, None, None, tau, pre_e, objective,
+                       residual, 0.0):
             break
-        previous_objective = objective
 
-    trace = EmTrace(records=records, final_index=records[-1].t,
-                    final_theta=records[-1].theta_m, converged=converged,
-                    mode="exact", selection_enabled=keep)
-    rho_b = partial_trace(rho_m, (d_r, d_b), 0)
+    # the estimate is the last round, whether or not selection is on
+    trace = loop.finish(select=False)
+    last = trace.records[-1]
     return QrdSolution(
-        rate=records[-1].objective, state=rho_m, output_state=rho_b,
-        tau=tau, distortion=distortion_value,
+        rate=last.objective, state=rho_m, output_state=rho_b, tau=tau,
+        distortion=distortion_value,
         constraint_residual=abs(distortion_value - level),
-        iterations=records[-1].t, converged=converged, mode=mode,
+        iterations=last.t, converged=trace.converged, mode=mode,
         trace=trace, feasibility=report)

@@ -6,11 +6,13 @@ distributions with the source marginal and the prescribed mean
 distortion.  The m-step tilts the current output distribution by an
 exponential weight in the distortion and solves a one-dimensional
 convex root-finding problem for the tilt parameter; the e-step
-marginalizes.  In :func:`solve_rd` and :func:`solve_rd_side_info` that
-root comes from a safeguarded Newton iteration on the mean distortion,
-whose derivative is the tilted variance of the distortion (bisection
-takes over when a step leaves the sign-change bracket or the steps run
-out).  Rates are reported in nats.
+marginalizes.  :func:`solve_rd_side_info` runs that alternation on a
+joint source law ``p_xs[x, s]``, and :func:`solve_rd` runs the same
+side-information loop with one side symbol.  Its root comes from a
+safeguarded Newton iteration on the mean distortion, whose derivative
+is the tilted variance of the distortion (bisection takes over when a
+step leaves the sign-change bracket or the steps run out).  Rates are
+reported in nats.
 
 Variants: a budgeted solver whose m-step runs a fixed number of
 bisection halvings and repairs the iterate by a two-point mixture, a
@@ -35,7 +37,7 @@ from .classical import (ConditionalSystem, FeasibilityReport,
                         distortion_feasibility, kl_divergence,
                         mutual_information, simplex_expectation_constraint)
 from .convex import bisect, bisect_to_tolerance, expand_bracket
-from .em import (EmIterate, EmOptions, EmTrace, run_em, run_em_approx,
+from .em import (EmOptions, EmTrace, _Loop, _options, run_em, run_em_approx,
                  run_em_closed_convex)
 from .errors import (ArgumentError, ConvergenceError, InfeasibleError,
                      RankError, SupportError)
@@ -224,18 +226,6 @@ def _check_matrix(d, n_inputs: int) -> np.ndarray:
     return d
 
 
-def _solver_options(options: Optional[EmOptions],
-                    default_iterations: int = 1000) -> EmOptions:
-    if options is None:
-        options = EmOptions(max_iterations=default_iterations)
-    if options.max_iterations < 2:
-        raise ArgumentError("max_iterations is the highest iterate index "
-                            "and must be at least 2")
-    if options.objective_tolerance < 0.0:
-        raise ArgumentError("objective tolerance must be non-negative")
-    return options
-
-
 def _with_reference(options: EmOptions, value: Optional[float]) -> EmOptions:
     if options.reference_divergence is None and value is not None:
         return replace(options, reference_divergence=value)
@@ -244,34 +234,33 @@ def _with_reference(options: EmOptions, value: Optional[float]) -> EmOptions:
 
 def _zero_rate_marginal(report: FeasibilityReport,
                         level: float, mode: str) -> Optional[np.ndarray]:
-    """Output distribution of a rate-zero solution, or None when the
-    constraint forces dependence on the input.
+    """Output distribution of a rate-zero solution (one per side symbol
+    when ``report.per_output`` has a row per side symbol), or None when
+    the constraint forces dependence on the input.
 
     Inequality mode: the cheapest input-independent output works as
     soon as its distortion meets the ceiling.  Equality mode: a
-    two-point mixture of the cheapest and dearest outputs interpolates
-    any level inside the product-channel range.
+    two-point mixture of the cheapest and dearest outputs, with one
+    weight for every side symbol, interpolates any level inside the
+    product-channel range.
     """
-    per_output = report.per_output
-    n = per_output.size
-    y_lo = int(np.argmin(per_output))
     if mode == "inequality":
-        if level >= report.min_product - _FEAS_TOL:
-            q = np.zeros(n)
-            q[y_lo] = 1.0
-            return q
-        return None
-    if report.min_product - _FEAS_TOL <= level <= \
+        if level < report.min_product - _FEAS_TOL:
+            return None
+        lam = 0.0
+    elif report.min_product - _FEAS_TOL <= level <= \
             report.max_product + _FEAS_TOL:
-        y_hi = int(np.argmax(per_output))
         spread = report.max_product - report.min_product
         lam = 0.0 if spread <= _FEAS_TOL else float(
             np.clip((level - report.min_product) / spread, 0.0, 1.0))
-        q = np.zeros(n)
-        q[y_lo] += 1.0 - lam
-        q[y_hi] += lam
-        return q
-    return None
+    else:
+        return None
+    per_output = np.atleast_2d(report.per_output)
+    rows = np.arange(per_output.shape[0])
+    q = np.zeros(per_output.shape)
+    q[rows, per_output.argmin(axis=1)] += 1.0 - lam
+    q[rows, per_output.argmax(axis=1)] += lam
+    return q.reshape(report.per_output.shape)
 
 
 def _check_level_feasible(report: FeasibilityReport, level: float,
@@ -289,10 +278,13 @@ def _check_level_feasible(report: FeasibilityReport, level: float,
                               report.achievable_max))
 
 
-def _zero_rate_solution(p_x, d, q, level, mode, report,
+def _zero_rate_solution(p, d, q, level, mode, report,
                         engine_mode: str) -> RdSolution:
-    w = np.tile(q, (p_x.size, 1))
-    distortion = float(q @ report.per_output)
+    """Rate-zero answer in which every input row of a side symbol gets
+    that symbol's output law; ``p`` is the source law, side-major
+    ``p[s, x]`` with ``q[s, y]`` for side information."""
+    w = np.broadcast_to(q[..., None, :], p.shape + d.shape[1:]).copy()
+    distortion = _mean_distortion(p, w, d)
     return RdSolution(
         rate=0.0, channel=w, output_marginal=q, tau=0.0,
         distortion=distortion,
@@ -305,21 +297,17 @@ def _zero_rate_solution(p_x, d, q, level, mode, report,
 
 
 def _tilted_channel(q, tau: float, d) -> np.ndarray:
-    """Row-normalized q_y * exp(tau * d(x, y)), overflow-shifted."""
+    """Row-normalized q_y * exp(tau * d(x, y)), overflow-shifted; a
+    stack of output laws ``q[s, y]`` gives one channel per side
+    symbol."""
     a = tau * d
     a -= a.max(axis=1, keepdims=True)
-    w = q * np.exp(a)
-    return w / w.sum(axis=1, keepdims=True)
+    w = q[..., None, :] * np.exp(a)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _mean_distortion(p_x, w, d) -> float:
-    return float(np.sum(p_x[:, None] * w * d))
-
-
-def _joint_kl(p_x, w, q) -> float:
-    """KL of the joint p_x(x) w(y|x) against the product p_x(x) q(y)."""
-    joint = p_x[:, None] * w
-    return kl_divergence(joint.ravel(), np.outer(p_x, q).ravel())
+def _mean_distortion(p, w, d) -> float:
+    return float(np.sum(p[..., None] * w * d))
 
 
 def _newton_tilt(tilt, tau: float,
@@ -376,19 +364,56 @@ def _newton_tilt(tilt, tau: float,
     return x, w
 
 
-def _find_tilt(p_x, q, d, level, tau_start: float,
-               step0: float) -> tuple[float, np.ndarray]:
-    """Tilt parameter matching the mean distortion, plus the channel
-    at exactly that tilt (safeguarded Newton, :func:`_newton_tilt`)."""
+def _tilt_at(p, q, d, level: float, tau: float):
+    """``(g, g', w)`` of the tilt ``tau`` for :func:`_newton_tilt`: the
+    residual ``E_tau[d] - level``, the tilted variance and the channel.
+    ``p`` is the source law flattened side-major to match ``w``."""
+    w = _tilted_channel(q, tau, d)
+    mean = (w * d).sum(axis=-1)
+    variance = (w * (d - mean[..., None]) ** 2).sum(axis=-1)
+    return (float(p @ mean.ravel()) - level, float(p @ variance.ravel()),
+            w)
 
-    def tilt(tau):
-        w = _tilted_channel(q, tau, d)
-        mean = (w * d).sum(axis=1)
-        variance = (w * (d - mean[:, None]) ** 2).sum(axis=1)
-        return (_mean_distortion(p_x, w, d) - level, float(p_x @ variance),
-                w)
 
-    return _newton_tilt(tilt, tau_start, step0)
+def _tilt_loop(p_xs, p_x_given_s, d, level: float, q, mode: str,
+               report: FeasibilityReport, options: EmOptions) -> RdSolution:
+    """The alternation of :func:`solve_rd_side_info` on the joint source
+    ``p_xs[x, s]`` from the output laws ``q[s, y]``.
+
+    Each round tilts every ``q[s]`` by one shared parameter, found by
+    :func:`_newton_tilt` so that the mean distortion meets ``level``,
+    and replaces ``q[s]`` by the output law of the tilted channel under
+    the source law ``p_x_given_s[:, s]``.  The records hold scalars only
+    and ``trace.final_theta`` is None.  ``channel`` is ``w[s, x, y]``,
+    the channel at exactly the returned tilt, and ``rate`` is the KL of
+    its joint against the product with ``output_marginal``.
+    """
+    p_joint = p_xs.T[:, :, None]
+    p_flat = p_joint.ravel()
+    p_cond = np.ascontiguousarray(p_x_given_s.T)[:, None, :]
+    loop = _Loop(options, "exact", selection_enabled=False)
+    tau = 0.0
+    step0 = 1.0
+    for t in range(2, options.max_iterations + 1):
+        new_tau, w = _newton_tilt(
+            lambda x: _tilt_at(p_flat, q, d, level, x), tau, step0)
+        step0 = max(1e-8, 4.0 * abs(new_tau - tau))
+        tau = new_tau
+        joint = p_joint * w
+        pre_e = kl_divergence(joint, p_joint * q[:, None, :])
+        q = (p_cond @ w)[:, 0]
+        objective = kl_divergence(joint, p_joint * q[:, None, :])
+        distortion = float(np.sum(joint * d))
+        if loop.record(t, None, None, None, [tau], pre_e, objective,
+                       abs(distortion - level), 0.0):
+            break
+    trace = loop.finish()
+    last = trace.records[-1]
+    return RdSolution(
+        rate=last.objective, channel=w, output_marginal=q, tau=tau,
+        distortion=distortion, constraint_residual=last.constraint_residual,
+        iterations=last.t, converged=trace.converged, mode=mode,
+        trace=trace, feasibility=report)
 
 
 def solve_rd(p_x, distortion, level: float, mode: str = "equality",
@@ -400,10 +425,11 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
     distortion, solving for the tilt that meets the level exactly by a
     safeguarded Newton iteration (:func:`_newton_tilt`), and then
     replaces the marginal by the tilted channel's output distribution.
-    Monotone descent with gap bounded by log(n_outputs)/(t-1) from the
-    uniform start.  Inequality mode returns a rate-zero product solution
-    whenever the ceiling is slack; otherwise the constraint binds and
-    the equality iteration runs.
+    This is the side-information loop of :func:`solve_rd_side_info`
+    run with one side symbol.  Monotone descent with gap bounded by
+    log(n_outputs)/(t-1) from the uniform start.  Inequality mode
+    returns a rate-zero product solution whenever the ceiling is slack;
+    otherwise the constraint binds and the equality iteration runs.
 
     The records hold scalars only (``theta_m``/``theta_e`` stay None,
     whatever ``low_memory`` says, and selection is off).
@@ -415,7 +441,7 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
     d = _check_matrix(distortion, p_x.size)
     level = float(level)
     _check_mode(mode)
-    options = _solver_options(options)
+    options = _options(options, 1000)
     report = distortion_feasibility(p_x, d, level)
     _check_level_feasible(report, level, mode)
     q0 = _zero_rate_marginal(report, level, mode)
@@ -433,50 +459,13 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
             raise ArgumentError("initial_marginal must have one entry per "
                                 "output")
 
-    records: list[EmIterate] = []
-    converged = False
-    tau = 0.0
-    step0 = 1.0
-    previous_objective = None
-    w = None
-    distortion_value = level
-    for t in range(2, options.max_iterations + 1):
-        new_tau, w = _find_tilt(p_x, q, d, level, tau, step0)
-        step0 = max(1e-8, 4.0 * abs(new_tau - tau))
-        tau = new_tau
-        pre_e = _joint_kl(p_x, w, q)
-        q_next = p_x @ w
-        objective = _joint_kl(p_x, w, q_next)
-        distortion_value = _mean_distortion(p_x, w, d)
-        residual = abs(distortion_value - level)
-        bound = (options.reference_divergence / (t - 1)
-                 if options.reference_divergence is not None else math.nan)
-        record = EmIterate(
-            t=t, objective=objective, pre_e_objective=pre_e, bound=bound,
-            tau=np.array([tau]), constraint_residual=residual,
-            selection_value=pre_e)
-        records.append(record)
-        if options.iteration_hook is not None:
-            options.iteration_hook(record)
-        q = q_next
-        if previous_objective is not None and abs(
-                previous_objective - objective) \
-                < options.objective_tolerance:
-            converged = True
-            break
-        previous_objective = objective
-
-    trace = EmTrace(records=records, final_index=records[-1].t,
-                    final_theta=(_channel_theta(w) if np.all(w > 0.0)
-                                 else None),
-                    converged=converged, mode="exact",
-                    selection_enabled=False)
-    return RdSolution(
-        rate=records[-1].objective, channel=w, output_marginal=q,
-        tau=tau, distortion=distortion_value,
-        constraint_residual=records[-1].constraint_residual,
-        iterations=records[-1].t, converged=converged, mode=mode,
-        trace=trace, feasibility=report)
+    p = p_x[:, None]
+    solution = _tilt_loop(p, p, d, level, q[None, :], mode, report, options)
+    w = solution.channel[0]
+    solution.trace.final_theta = (_channel_theta(w) if np.all(w > 0.0)
+                                  else None)
+    return replace(solution, channel=w,
+                   output_marginal=solution.output_marginal[0])
 
 
 class _ProductFamily(ExponentialSubfamily):
@@ -674,7 +663,7 @@ def solve_rd_side_info(p_xs, distortion, level: float,
     n2 = d.shape[1]
     level = float(level)
     _check_mode(mode)
-    options = _solver_options(options)
+    options = _options(options, 1000)
 
     p_s = p_xs.sum(axis=0)
     p_x_given_s = p_xs / p_s
@@ -691,20 +680,10 @@ def solve_rd_side_info(p_xs, distortion, level: float,
         equality_feasible=achievable_min <= level <= achievable_max)
     _check_level_feasible(report, level, mode)
 
-    zero = _zero_rate_channel_side_info(report, d_ys, level, mode)
-    if zero is not None:
-        q = zero
-        w = np.broadcast_to(q[:, None, :], (ns, n1, n2)).copy()
-        distortion_value = float(np.einsum("xs,sxy,xy->", p_xs, w, d))
-        return RdSolution(
-            rate=0.0, channel=w, output_marginal=q, tau=0.0,
-            distortion=distortion_value,
-            constraint_residual=(abs(distortion_value - level)
-                                 if mode == "equality" else 0.0),
-            iterations=0, converged=True, mode=mode,
-            trace=EmTrace(records=[], final_index=0, final_theta=None,
-                          converged=True, mode="exact"),
-            feasibility=report)
+    q0 = _zero_rate_marginal(report, level, mode)
+    if q0 is not None:
+        return _zero_rate_solution(p_xs.T, d, q0, level, mode, report,
+                                   "exact")
 
     if initial_marginal is None:
         q = np.full((ns, n2), 1.0 / n2)
@@ -717,97 +696,8 @@ def solve_rd_side_info(p_xs, distortion, level: float,
         for row in q:
             _check_distribution(row, "initial_marginal")
 
-    def channel_at(tau, q_rows):
-        a = tau * d
-        a -= a.max(axis=1, keepdims=True)
-        b = np.exp(a)
-        w = q_rows[:, None, :] * b[None, :, :]
-        return w / w.sum(axis=2, keepdims=True)
-
-    def mean_distortion(w):
-        return float(np.einsum("xs,sxy,xy->", p_xs, w, d))
-
-    def joint_kl(w, q_rows):
-        total = 0.0
-        for s in range(ns):
-            total += kl_divergence(
-                (p_xs[:, s][:, None] * w[s]).ravel(),
-                np.outer(p_xs[:, s], q_rows[s]).ravel())
-        return 0.0 if total < 1e-14 else total
-
-    records: list[EmIterate] = []
-    converged = False
-    tau = 0.0
-    step0 = 1.0
-    previous_objective = None
-    w = None
-    distortion_value = level
-    for t in range(2, options.max_iterations + 1):
-        def tilt(value):
-            w = channel_at(value, q)
-            mean = (w * d).sum(axis=2)
-            variance = (w * (d - mean[:, :, None]) ** 2).sum(axis=2)
-            return (mean_distortion(w) - level,
-                    float(np.einsum("xs,sx->", p_xs, variance)), w)
-
-        new_tau, w = _newton_tilt(tilt, tau, step0)
-        step0 = max(1e-8, 4.0 * abs(new_tau - tau))
-        tau = new_tau
-        pre_e = joint_kl(w, q)
-        q_next = np.einsum("xs,sxy->sy", p_x_given_s, w)
-        objective = joint_kl(w, q_next)
-        distortion_value = mean_distortion(w)
-        residual = abs(distortion_value - level)
-        bound = (options.reference_divergence / (t - 1)
-                 if options.reference_divergence is not None else math.nan)
-        record = EmIterate(
-            t=t, objective=objective, pre_e_objective=pre_e, bound=bound,
-            tau=np.array([tau]), constraint_residual=residual,
-            selection_value=pre_e)
-        records.append(record)
-        if options.iteration_hook is not None:
-            options.iteration_hook(record)
-        q = q_next
-        if previous_objective is not None and abs(
-                previous_objective - objective) \
-                < options.objective_tolerance:
-            converged = True
-            break
-        previous_objective = objective
-
-    trace = EmTrace(records=records, final_index=records[-1].t,
-                    final_theta=None, converged=converged, mode="exact",
-                    selection_enabled=False)
-    return RdSolution(
-        rate=records[-1].objective, channel=w, output_marginal=q,
-        tau=tau, distortion=distortion_value,
-        constraint_residual=records[-1].constraint_residual,
-        iterations=records[-1].t, converged=converged, mode=mode,
-        trace=trace, feasibility=report)
-
-
-def _zero_rate_channel_side_info(report: FeasibilityReport, d_ys, level,
-                                 mode) -> Optional[np.ndarray]:
-    """Per-side output distributions of a rate-zero solution."""
-    ns, n2 = d_ys.shape
-    lo_idx = np.argmin(d_ys, axis=1)
-    if mode == "inequality":
-        if level >= report.min_product - _FEAS_TOL:
-            q = np.zeros((ns, n2))
-            q[np.arange(ns), lo_idx] = 1.0
-            return q
-        return None
-    if report.min_product - _FEAS_TOL <= level <= \
-            report.max_product + _FEAS_TOL:
-        hi_idx = np.argmax(d_ys, axis=1)
-        spread = report.max_product - report.min_product
-        lam = 0.0 if spread <= _FEAS_TOL else float(
-            np.clip((level - report.min_product) / spread, 0.0, 1.0))
-        q = np.zeros((ns, n2))
-        q[np.arange(ns), lo_idx] += 1.0 - lam
-        q[np.arange(ns), hi_idx] += lam
-        return q
-    return None
+    return _tilt_loop(p_xs, p_x_given_s, d, level, q, mode, report,
+                      options)
 
 
 def solve_rd_multi(p_x, distortions: Sequence, levels: Sequence,
@@ -860,7 +750,7 @@ def solve_rd_multi(p_x, distortions: Sequence, levels: Sequence,
                           converged=True, mode="closed_convex"),
             active_constraints=())
 
-    options = _solver_options(options)
+    options = _options(options, 1000)
     options = _with_reference(options, math.log(n2))
     system = ConditionalSystem(p_x, n2)
     exp_family = _product_family(system)
@@ -917,7 +807,7 @@ def solve_rd_fulldim(p_x, distortion, level: float, mode: str = "equality",
     d = _check_matrix(distortion, p_x.size)
     level = float(level)
     _check_mode(mode)
-    options = _solver_options(options)
+    options = _options(options, 1000)
     report = distortion_feasibility(p_x, d, level)
     _check_level_feasible(report, level, mode)
     q0 = _zero_rate_marginal(report, level, mode)

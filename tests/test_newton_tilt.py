@@ -14,8 +14,8 @@ from bregman_em import (ConditionalSystem, EmOptions, UnboundedError,
                         expand_bracket, mutual_information, solve_rd,
                         solve_rd_side_info)
 from bregman_em import rate_distortion
-from bregman_em.rate_distortion import (_ROOT_TOL, _find_tilt,
-                                        _mean_distortion, _newton_tilt,
+from bregman_em.rate_distortion import (_ROOT_TOL, _mean_distortion,
+                                        _newton_tilt, _tilt_at,
                                         _tilted_channel)
 
 # A sparse-support instance whose optimum leaves an output empty, so
@@ -80,6 +80,14 @@ def residual(p, q, d, level):
         p, _tilted_channel(q, tau, d), d) - level
 
 
+def find_tilt(p, q, d, level, tau0, step0):
+    """The tilt search of one round of the solve_rd loop: one side
+    symbol, so the output laws are the single row ``q[None, :]``."""
+    tau, w = _newton_tilt(lambda x: _tilt_at(p, q[None, :], d, level, x),
+                          tau0, step0)
+    return tau, w[0]
+
+
 def oracle_tilt(p, q, d, level):
     g = residual(p, q, d, level)
     a, b = expand_bracket(g, 0.0, 1.0)
@@ -101,7 +109,7 @@ def test_newton_tilt_matches_the_bisection_oracle():
         tau_ref = oracle_tilt(p, q, d, level)
         assert abs(g(tau_ref)) <= _ROOT_TOL
         for tau0, step0 in starts(rng):
-            tau, w = _find_tilt(p, q, d, level, tau0, step0)
+            tau, w = find_tilt(p, q, d, level, tau0, step0)
             assert abs(g(tau)) <= _ROOT_TOL
             assert abs(tau - tau_ref) <= 1e-8 * (1.0 + abs(tau))
             assert np.array_equal(w, _tilted_channel(q, tau, d))
@@ -118,7 +126,7 @@ def test_newton_tilt_evaluates_few_points(monkeypatch):
         return _tilted_channel(q, tau, d)
 
     monkeypatch.setattr(rate_distortion, "_tilted_channel", counted)
-    tau, _ = _find_tilt(p, q, d, level, tau_ref + 1e-3, 4e-3)
+    tau, _ = find_tilt(p, q, d, level, tau_ref + 1e-3, 4e-3)
     assert abs(tau - tau_ref) <= 1e-8 * (1.0 + abs(tau))
     # the start, one bracketing trial and a few Newton steps, none twice
     assert len(calls) <= 6
