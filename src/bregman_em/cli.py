@@ -10,7 +10,12 @@ column (or against log(cardinality)/(t-1) with ``--cardinality``).
 
 Exit codes for ``run``: 0 converged, 1 malformed input or invalid
 arguments, 2 infeasible constraints, 3 the iteration ran out of budget
-before the tolerance.
+before the tolerance or failed numerically (``ConvergenceError``,
+``SupportError``).  For ``rd`` without ``--eps`` and for
+``rd_side_info``, "converged" means that ``gap_nats``, the rate minus a
+dual lower bound, is within the tolerance; the other solvers stop when
+the objective stops moving (or, with ``--eps``, after the budget) and
+report ``gap_nats`` as null.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .classical import canonical_simplex_system, simplex_system
-from .em import EmOptions, EmTrace, _format_cell, run_em
+from .em import EmOptions, EmTrace, _format_cell, _has_gaps, run_em
 from .errors import (ArgumentError, BregmanEmError, ConvergenceError,
-                     FormatError, InfeasibleError, SchemaError)
+                     FormatError, InfeasibleError, SchemaError, SupportError)
 from .families import ExponentialSubfamily, MixtureSubfamily
 from .quantum import DensityMatrix, QuantumSystem, partial_trace, solve_qrd
 from .rate_distortion import (solve_rd, solve_rd_bisection, solve_rd_fulldim,
@@ -218,8 +223,18 @@ def _summary_common(kind: str, mode: str, solution, bits: bool,
     summary["constraint_residual"] = float(solution.constraint_residual)
     summary["iterations"] = int(solution.iterations)
     summary["converged"] = bool(solution.converged)
+    summary["gap_nats"] = _gap(solution.trace)
     summary["seed"] = seed
     return summary
+
+
+def _gap(trace: EmTrace) -> Optional[float]:
+    """The last round's certified gap; 0 for a rate-zero answer (no
+    rounds), which is optimal, and None for solvers without a bound."""
+    if not trace.records:
+        return 0.0
+    gap = trace.records[-1].gap
+    return None if math.isnan(gap) else float(gap)
 
 
 def _summarize(kind: str, mode: str, solution, bits: bool, seed) -> dict:
@@ -299,9 +314,10 @@ def _residual_extractor(kind: str, payload: dict, level):
 
 def _write_cli_trace(path, trace: EmTrace, extract) -> None:
     n_tau = max((r.tau.size for r in trace.records), default=0)
+    gaps = _has_gaps(trace)
     header = ["t", "objective_nats", "bound"]
     header += [f"tau_{i}" for i in range(n_tau)]
-    header += ["distortion_residual", "marginal_residual"]
+    header += ["distortion_residual", "marginal_residual"] + ["gap"] * gaps
     lines = [",".join(header)]
     for record in trace.records:
         d_res, m_res = extract(record)
@@ -312,6 +328,8 @@ def _write_cli_trace(path, trace: EmTrace, extract) -> None:
                          if i < record.tau.size else "")
         cells.append(_format_cell(d_res))
         cells.append(_format_cell(m_res))
+        if gaps:
+            cells.append(_format_cell(record.gap))
         lines.append(",".join(cells))
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -575,7 +593,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="total slack of the budgeted bisection "
                                  "solver (rd kind)")
     run_parser.add_argument("--tol", type=float, default=None,
-                            help="objective-change stopping tolerance")
+                            help="stopping tolerance: the certified gap "
+                                 "for rd and rd_side_info, the objective "
+                                 "change elsewhere")
     run_parser.add_argument("--trace", type=Path, default=None,
                             help="write a per-round CSV trace here")
     run_parser.add_argument("--bits", action="store_true",
@@ -604,7 +624,7 @@ def main(argv=None) -> int:
         print(json.dumps({"status": "infeasible", "error": str(exc)},
                          indent=2))
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, SupportError) as exc:
         print(json.dumps({"status": "did_not_converge", "error": str(exc)},
                          indent=2))
         return 3

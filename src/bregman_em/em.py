@@ -50,9 +50,16 @@ class EmOptions:
     """Options shared by the em entry points.
 
     ``max_iterations`` is the highest iterate index t1 (so t1 - 1
-    alternation rounds run); iteration stops early once the objective
-    decreases by less than ``objective_tolerance``.  The two slacks are
-    the approximate-m-step budgets.  ``reference_divergence`` feeds the
+    alternation rounds run).  A loop that records a dual lower bound
+    (the tilt solvers ``solve_rd`` and ``solve_rd_side_info``) stops
+    once the gap between objective and bound is at most
+    ``objective_tolerance``, so its ``converged`` is a certificate; the
+    others (``run_em*`` and the solvers built on them, ``solve_qrd``)
+    stop once the objective decreases by less than it, which certifies
+    nothing.  ``pure_em`` restores the plain alternation of the tilt
+    solvers: the objective-change stop and no finishing Newton step
+    (the gap is still recorded).  The two slacks are the
+    approximate-m-step budgets.  ``reference_divergence`` feeds the
     bound column of the trace; ``low_memory`` keeps only scalars per
     round, which disables final-round selection.  ``iteration_hook``
     receives each recorded round (for contraction-ratio logging and
@@ -67,6 +74,7 @@ class EmOptions:
     low_memory: bool = False
     reference_divergence: Optional[float] = None
     iteration_hook: Optional[Callable] = None
+    pure_em: bool = False
 
 
 @dataclass
@@ -80,6 +88,11 @@ class EmIterate:
     selection criterion D(theta_m||previous e) - D(theta_m||theta_bar).
     The tilt solvers (``solve_rd``, ``solve_rd_side_info``) leave
     ``theta_m`` and ``theta_e`` empty: their records hold scalars only.
+    They also fill ``lower_bound``, Blahut's dual bound on the optimum
+    at the round's output law and tilt, and ``gap``, the objective
+    minus that bound (both NaN elsewhere); ``finish`` marks a round
+    that is the KKT point of the finishing Newton step rather than an
+    alternation round.
     """
 
     t: int
@@ -93,6 +106,9 @@ class EmIterate:
     theta_e: Optional[np.ndarray] = None
     theta_bar: Optional[np.ndarray] = None
     facet_index: Optional[int] = None
+    lower_bound: float = math.nan
+    gap: float = math.nan
+    finish: bool = False
 
 
 @dataclass
@@ -174,8 +190,11 @@ def _bound_at(options: EmOptions, t: int) -> float:
 
 class _Loop:
     """Shared bookkeeping for every alternation: the records, the bound
-    column, ``iteration_hook``, the |delta objective| stop and the
-    final selection.
+    column, ``iteration_hook``, the stop rule and the final selection.
+
+    A round recorded with a ``lower_bound`` stops the loop once its gap
+    is at most ``objective_tolerance`` (unless ``pure_em``); a round
+    without one stops it once |delta objective| falls below it.
 
     ``selection_enabled`` defaults to ``not options.low_memory``.  A
     record keeps the natural coordinates it is given (and none under
@@ -196,10 +215,16 @@ class _Loop:
 
     def record(self, t: int, theta_m, theta_e, theta_bar, tau,
                pre_e: float, objective: float, residual: float,
-               bar_divergence: float, facet_index=None) -> bool:
+               bar_divergence: float, facet_index=None,
+               lower_bound: Optional[float] = None,
+               finish: bool = False) -> bool:
         """Store one round; returns True when iteration should stop."""
         options = self.options
         selection_value = pre_e - bar_divergence
+        certified = lower_bound is not None and not options.pure_em
+        if lower_bound is None:
+            lower_bound = math.nan
+        gap = objective - lower_bound
         keep_arrays = not options.low_memory
 
         def kept(theta):
@@ -211,7 +236,8 @@ class _Loop:
             bound=_bound_at(options, t), tau=np.asarray(tau, dtype=float),
             constraint_residual=residual, selection_value=selection_value,
             theta_m=kept(theta_m), theta_e=kept(theta_e),
-            theta_bar=kept(theta_bar), facet_index=facet_index)
+            theta_bar=kept(theta_bar), facet_index=facet_index,
+            lower_bound=lower_bound, gap=gap, finish=finish)
         self.trace.records.append(record)
         theta = None if theta_m is None else np.array(theta_m)
         self._last_theta = theta
@@ -221,20 +247,22 @@ class _Loop:
             self._best_theta = theta
         if options.iteration_hook is not None:
             options.iteration_hook(record)
-        stop = False
-        if self._previous_objective is not None and abs(
-                self._previous_objective - objective) \
-                < options.objective_tolerance:
-            self.trace.converged = True
-            stop = True
+        previous = self._previous_objective
         self._previous_objective = objective
+        if certified:
+            # a NaN or infinite bound certifies nothing
+            stop = math.isfinite(gap) and gap <= options.objective_tolerance
+        else:
+            stop = previous is not None and abs(previous - objective) \
+                < options.objective_tolerance
+        self.trace.converged = stop
         return stop
 
-    def finish(self, select: bool = True) -> EmTrace:
+    def finish(self) -> EmTrace:
         """The trace with its final round: the best selection value when
-        ``select`` and selection is enabled, the last round otherwise."""
+        selection is enabled, the last round otherwise."""
         trace = self.trace
-        if select and trace.selection_enabled:
+        if trace.selection_enabled:
             trace.final_index = self._best_index
             trace.final_theta = self._best_theta
         else:
@@ -362,18 +390,23 @@ def _format_cell(value) -> str:
     return format(value, ".17g")
 
 
+def _has_gaps(trace: EmTrace) -> bool:
+    return any(not math.isnan(r.gap) for r in trace.records)
+
+
 def write_trace_csv(trace: EmTrace, path) -> None:
     """Serialize a trace deterministically.
 
     Columns: t, objective, pre_e_objective, bound, one column per dual
-    coefficient, constraint_residual_max.  Floats carry 17 significant
-    digits, the decimal separator is '.', rows end in LF; absent bounds
-    are empty cells.
+    coefficient, constraint_residual_max, and gap when the trace records
+    a dual bound.  Floats carry 17 significant digits, the decimal
+    separator is '.', rows end in LF; absent bounds are empty cells.
     """
     n_tau = max((r.tau.size for r in trace.records), default=0)
+    gaps = _has_gaps(trace)
     header = ["t", "objective", "pre_e_objective", "bound"]
     header += [f"tau_{i}" for i in range(n_tau)]
-    header += ["constraint_residual_max"]
+    header += ["constraint_residual_max"] + ["gap"] * gaps
     lines = [",".join(header)]
     for r in trace.records:
         cells = [str(r.t), _format_cell(r.objective),
@@ -382,6 +415,8 @@ def write_trace_csv(trace: EmTrace, path) -> None:
             cells.append(_format_cell(float(r.tau[i]))
                          if i < r.tau.size else "")
         cells.append(_format_cell(r.constraint_residual))
+        if gaps:
+            cells.append(_format_cell(r.gap))
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):

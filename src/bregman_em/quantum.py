@@ -470,7 +470,8 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
         options = replace(options, reference_divergence=math.log(d_b))
 
     rho_e = np.kron(rho_r, eye_b / d_b)
-    loop = _Loop(options, "exact")
+    # the estimate is the last round, so nothing is selected
+    loop = _Loop(options, "exact", selection_enabled=False)
     tau = np.zeros(operators.shape[0])
     keep = not options.low_memory
     full_system = QuantumSystem(n) if keep else None
@@ -520,8 +521,7 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
                        residual, 0.0):
             break
 
-    # the estimate is the last round, whether or not selection is on
-    trace = loop.finish(select=False)
+    trace = loop.finish()
     last = trace.records[-1]
     return QrdSolution(
         rate=last.objective, state=rho_m, output_state=rho_b, tau=tau,

@@ -14,6 +14,19 @@ is the tilted variance of the distortion (bisection takes over when a
 step leaves the sign-change bracket or the steps run out).  Rates are
 reported in nats.
 
+That loop is certified.  Every round records Blahut's dual lower bound
+(Blahut 1972, IEEE Trans. IT 18(4)) at its output law and tilt, and
+the loop stops once the rate exceeds it by at most the tolerance, so
+``converged`` there means a proven gap.  The alternation converges
+geometrically only when the optimal output support is the whole
+alphabet; on a sparse optimum it crawls.  So every few rounds the loop
+guesses the support from the bound and solves the optimality
+conditions on it by Newton's method, and keeps that point only when
+its gap over the whole alphabet meets the tolerance.  ``EmOptions``'
+``pure_em`` turns both off, for the plain alternation of the paper.
+The other solvers have no bound; their ``converged`` means the
+objective stopped moving.
+
 Variants: a budgeted solver whose m-step runs a fixed number of
 bisection halvings and repairs the iterate by a two-point mixture, a
 side-information solver over conditionally product families, a solver
@@ -26,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +76,10 @@ MODES = ("equality", "inequality")
 _FEAS_TOL = 1e-12
 _ROOT_TOL = 1e-12
 _NEWTON_STEPS = 8
+_FINISH_EVERY = 5
+_FINISH_DELTAS = (0.05, 5e-3, 5e-4)
+_FINISH_STEPS = 30
+_FINISH_TOL = 1e-13
 _TINY = np.finfo(float).tiny
 
 
@@ -160,7 +177,11 @@ class RdSolution:
     the final m-step (an array of facet coefficients for the
     multi-constraint solver).  ``guarantee`` is the certified objective
     value of the selected round for the budgeted protocol, None
-    elsewhere.
+    elsewhere.  ``converged`` is a certificate for :func:`solve_rd` and
+    :func:`solve_rd_side_info` (the last record's ``gap``, rate minus
+    Blahut's bound, is at most ``objective_tolerance``) unless
+    ``pure_em`` is set; for the other solvers it means the objective
+    stopped moving, and their records' ``gap`` is NaN.
     """
 
     rate: float
@@ -296,14 +317,21 @@ def _zero_rate_solution(p, d, q, level, mode, report,
         feasibility=report)
 
 
-def _tilted_channel(q, tau: float, d) -> np.ndarray:
-    """Row-normalized q_y * exp(tau * d(x, y)), overflow-shifted; a
-    stack of output laws ``q[s, y]`` gives one channel per side
-    symbol."""
-    a = tau * d
-    a -= a.max(axis=1, keepdims=True)
-    w = q[..., None, :] * np.exp(a)
+def _tilted_channel(log_q, tau: float, d) -> np.ndarray:
+    """Row-normalized q_y * exp(tau * d(x, y)) from ``log_q``; a stack
+    of output laws ``log_q[s, y]`` gives one channel per side symbol.
+    Each row is shifted by its largest exponent ``tau d + log q``, so
+    no row underflows to 0/0 however large ``|tau|`` grows, even where
+    ``q`` has zeros (``log q = -inf``)."""
+    a = tau * d + log_q[..., None, :]
+    w = np.exp(a - a.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
+
+
+def _log(q) -> np.ndarray:
+    """``log q`` with ``-inf`` for the zeros, without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(q)
 
 
 def _mean_distortion(p, w, d) -> float:
@@ -364,56 +392,217 @@ def _newton_tilt(tilt, tau: float,
     return x, w
 
 
-def _tilt_at(p, q, d, level: float, tau: float):
+def _tilt_at(p, log_q, d, level: float, tau: float):
     """``(g, g', w)`` of the tilt ``tau`` for :func:`_newton_tilt`: the
     residual ``E_tau[d] - level``, the tilted variance and the channel.
     ``p`` is the source law flattened side-major to match ``w``."""
-    w = _tilted_channel(q, tau, d)
+    w = _tilted_channel(log_q, tau, d)
     mean = (w * d).sum(axis=-1)
     variance = (w * (d - mean[..., None]) ** 2).sum(axis=-1)
     return (float(p @ mean.ravel()) - level, float(p @ variance.ravel()),
             w)
 
 
+def _blahut_terms(p_cond, log_q, tau: float, d):
+    """``(log Z, c)`` of the tilt ``tau`` at the output laws ``q[s, y]``:
+    ``Z[s, x] = sum_y q[s, y] e^{tau d(x, y)}`` and ``c[s, y] =
+    sum_x p(x|s) e^{tau d(x, y)} / Z[s, x]`` (``q_next / q`` where
+    ``q > 0``).  ``c`` comes from the kernel, not from that quotient,
+    so an output with ``q = 0`` gets its ``c`` too; an overflowing
+    kernel gives an infinite ``c``, never a warning."""
+    a = tau * d
+    b = a + log_q[:, None, :]
+    top = b.max(axis=-1)
+    log_z = top + np.log(np.exp(b - top[..., None]).sum(axis=-1))
+    with np.errstate(over="ignore"):
+        c = np.einsum("sx,sxy->sy", p_cond, np.exp(a - log_z[..., None]))
+    return log_z, c
+
+
+def _kkt_point(p_joint, p_cond, d, level: float, support, q, tau: float):
+    """Output laws and tilt that solve the optimality conditions on
+    ``support`` (a mask shaped like ``q[s, y]``), or None.
+
+    Newton's method on ``c[s, y](q, tau) = 1`` for ``y`` in the
+    support together with ``E[d] = level``, in the unknowns
+    ``(q[s, support], tau)`` with ``q = 0`` off the support, started
+    from ``(q, tau)``.  The Jacobian is closed-form: ``dc_y/dq_j =
+    -sum_x p(x|s) e_xy e_xj / Z_x^2``, ``dc_y/dtau`` and ``dE[d]/dq_y``
+    are tilted covariances of ``e_y / Z`` with ``d``, and
+    ``dE[d]/dtau`` is the tilted variance.  When the solution has a
+    negative ``q``, the most negative output leaves the support and the
+    solve restarts.  A singular or non-finite step, a side with an
+    empty support and a solve that does not reach the residual target
+    give None.
+    """
+    support = support.copy()
+    with np.errstate(all="ignore"):
+        while support.any(axis=1).all():
+            sides = [np.flatnonzero(row) for row in support]
+            columns = [d[:, idx] for idx in sides]
+            bounds = np.cumsum([0] + [idx.size for idx in sides])
+            u = np.concatenate([q[s, idx] for s, idx in enumerate(sides)])
+            x = tau
+            n = u.size
+            for _ in range(_FINISH_STEPS):
+                f = np.empty(n + 1)
+                jac = np.zeros((n + 1, n + 1))
+                f[n] = -level
+                for s, ds in enumerate(columns):
+                    part = slice(bounds[s], bounds[s + 1])
+                    a = x * ds
+                    k = np.exp(a - a.max(axis=1, keepdims=True))
+                    k /= (k @ u[part])[:, None]
+                    w = k * u[part]
+                    mean = (w * ds).sum(axis=1)
+                    dev = k * (ds - mean[:, None])
+                    f[part] = p_cond[s] @ k - 1.0
+                    jac[part, part] = -(k.T * p_cond[s]) @ k
+                    jac[part, n] = p_cond[s] @ dev
+                    jac[n, part] = p_joint[s] @ dev
+                    f[n] += p_joint[s] @ mean
+                    jac[n, n] += p_joint[s] @ (
+                        dev * u[part] * (ds - mean[:, None])).sum(axis=1)
+                if not np.all(np.isfinite(f)):
+                    return None
+                if np.abs(f).max() <= _FINISH_TOL:
+                    break
+                try:
+                    step = np.linalg.solve(jac, -f)
+                except np.linalg.LinAlgError:
+                    return None
+                if not np.all(np.isfinite(step)):
+                    return None
+                u += step[:n]
+                x += step[n]
+            else:
+                return None
+            worst = int(np.argmin(u))
+            if u[worst] >= 0.0:
+                point = np.zeros_like(q)
+                point[support] = u
+                return point, float(x)
+            s = int(np.searchsorted(bounds, worst, side="right")) - 1
+            support[s, sides[s][worst - bounds[s]]] = False
+    return None
+
+
+class _Round(NamedTuple):
+    """One round of :func:`_tilt_loop`: the tilt, its channel, the next
+    output laws, the two divergences, the distortion, Blahut's bound
+    and the ``c`` it came from."""
+
+    tau: float
+    channel: np.ndarray
+    output_marginal: np.ndarray
+    pre_e: float
+    objective: float
+    distortion: float
+    lower_bound: float
+    c: np.ndarray
+
+
 def _tilt_loop(p_xs, p_x_given_s, d, level: float, q, mode: str,
                report: FeasibilityReport, options: EmOptions) -> RdSolution:
     """The alternation of :func:`solve_rd_side_info` on the joint source
-    ``p_xs[x, s]`` from the output laws ``q[s, y]``.
+    ``p_xs[x, s]`` from the output laws ``q[s, y]``, with a certified
+    stop and a finishing Newton step.
 
     Each round tilts every ``q[s]`` by one shared parameter, found by
     :func:`_newton_tilt` so that the mean distortion meets ``level``,
     and replaces ``q[s]`` by the output law of the tilted channel under
-    the source law ``p_x_given_s[:, s]``.  The records hold scalars only
-    and ``trace.final_theta`` is None.  ``channel`` is ``w[s, x, y]``,
-    the channel at exactly the returned tilt, and ``rate`` is the KL of
-    its joint against the product with ``output_marginal``.
+    the source law ``p_x_given_s[:, s]``.  It records Blahut's bound
+    ``tau*level - sum p(x, s) log Z[s, x] - sum_s p(s) max_y log
+    c[s, y]`` at the round's ``(q, tau)`` (:func:`_blahut_terms`), and
+    the loop stops once objective minus bound is at most
+    ``objective_tolerance``.  Every ``_FINISH_EVERY`` rounds it guesses
+    the optimal support as ``{y : c[s, y] >= 1 - delta}`` for each
+    ``delta`` in ``_FINISH_DELTAS``, solves the optimality conditions
+    there (:func:`_kkt_point`), and keeps the result as one more round,
+    flagged ``finish``, only when its gap over the whole output
+    alphabet meets the tolerance; so a wrong guess costs time, never
+    accuracy.  ``options.pure_em`` turns the finish off and stops on
+    the objective change instead.
+
+    The records hold scalars only and ``trace.final_theta`` is None.
+    ``channel`` is ``w[s, x, y]``, the channel at exactly the returned
+    tilt, and ``rate`` is the KL of its joint against the product with
+    ``output_marginal``.
     """
-    p_joint = p_xs.T[:, :, None]
+    p_joint = np.ascontiguousarray(p_xs.T)
     p_flat = p_joint.ravel()
-    p_cond = np.ascontiguousarray(p_x_given_s.T)[:, None, :]
+    p_cond = np.ascontiguousarray(p_x_given_s.T)
+    p_s = p_joint.sum(axis=1)
+    product = p_joint[:, :, None]
     loop = _Loop(options, "exact", selection_enabled=False)
+    tolerance = options.objective_tolerance
+    max_t = options.max_iterations
+
+    def alternate(q, tau, step0) -> _Round:
+        log_q = _log(q)
+        tau, w = _newton_tilt(
+            lambda x: _tilt_at(p_flat, log_q, d, level, x), tau, step0)
+        joint = product * w
+        q_next = (p_cond[:, None, :] @ w)[:, 0]
+        log_z, c = _blahut_terms(p_cond, log_q, tau, d)
+        max_log_c = _log(c).max(axis=1)
+        # under a ceiling the bound needs tau <= 0, which holds: a
+        # binding level lies below the product channels' mean distortion
+        bound = tau * level - float(p_flat @ log_z.ravel()) \
+            - float(p_s @ max_log_c)
+        return _Round(
+            tau, w, q_next, kl_divergence(joint, product * q[:, None, :]),
+            kl_divergence(joint, product * q_next[:, None, :]),
+            float(np.sum(joint * d)), bound, c)
+
+    def finish(r: _Round, step0) -> Optional[_Round]:
+        support = None
+        for delta in _FINISH_DELTAS:
+            guess = r.c >= 1.0 - delta
+            if support is not None and np.array_equal(guess, support):
+                continue
+            support = guess
+            point = _kkt_point(p_joint, p_cond, d, level, support,
+                               r.output_marginal, r.tau)
+            if point is None:
+                continue
+            candidate = alternate(*point, step0)
+            gap = candidate.objective - candidate.lower_bound
+            if math.isfinite(gap) and gap <= tolerance:
+                return candidate
+        return None
+
+    def record(t, r: _Round, finish: bool = False) -> bool:
+        return loop.record(t, None, None, None, [r.tau], r.pre_e,
+                           r.objective, abs(r.distortion - level), 0.0,
+                           lower_bound=r.lower_bound, finish=finish)
+
     tau = 0.0
     step0 = 1.0
-    for t in range(2, options.max_iterations + 1):
-        new_tau, w = _newton_tilt(
-            lambda x: _tilt_at(p_flat, q, d, level, x), tau, step0)
-        step0 = max(1e-8, 4.0 * abs(new_tau - tau))
-        tau = new_tau
-        joint = p_joint * w
-        pre_e = kl_divergence(joint, p_joint * q[:, None, :])
-        q = (p_cond @ w)[:, 0]
-        objective = kl_divergence(joint, p_joint * q[:, None, :])
-        distortion = float(np.sum(joint * d))
-        if loop.record(t, None, None, None, [tau], pre_e, objective,
-                       abs(distortion - level), 0.0):
+    t = 1
+    while t < max_t:
+        t += 1
+        r = alternate(q, tau, step0)
+        step0 = max(1e-8, 4.0 * abs(r.tau - tau))
+        stop = record(t, r)
+        if not (stop or options.pure_em or t == max_t
+                or (t - 1) % _FINISH_EVERY):
+            kkt = finish(r, step0)
+            if kkt is not None:
+                t += 1
+                r = kkt
+                stop = record(t, r, finish=True)
+        tau, q = r.tau, r.output_marginal
+        if stop:
             break
     trace = loop.finish()
     last = trace.records[-1]
     return RdSolution(
-        rate=last.objective, channel=w, output_marginal=q, tau=tau,
-        distortion=distortion, constraint_residual=last.constraint_residual,
-        iterations=last.t, converged=trace.converged, mode=mode,
-        trace=trace, feasibility=report)
+        rate=last.objective, channel=r.channel, output_marginal=q, tau=tau,
+        distortion=r.distortion,
+        constraint_residual=last.constraint_residual, iterations=last.t,
+        converged=trace.converged, mode=mode, trace=trace,
+        feasibility=report)
 
 
 def solve_rd(p_x, distortion, level: float, mode: str = "equality",
@@ -427,9 +616,14 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
     replaces the marginal by the tilted channel's output distribution.
     This is the side-information loop of :func:`solve_rd_side_info`
     run with one side symbol.  Monotone descent with gap bounded by
-    log(n_outputs)/(t-1) from the uniform start.  Inequality mode
-    returns a rate-zero product solution whenever the ceiling is slack;
-    otherwise the constraint binds and the equality iteration runs.
+    log(n_outputs)/(t-1) from the uniform start.  It stops once the
+    rate is within ``objective_tolerance`` of Blahut's lower bound, and
+    every five rounds tries to finish with Newton's method on the
+    optimality conditions over a guessed support (see
+    :func:`_tilt_loop`; ``pure_em`` restores the plain alternation and
+    its objective-change stop).  Inequality mode returns a rate-zero
+    product solution whenever the ceiling is slack; otherwise the
+    constraint binds and the equality iteration runs.
 
     The records hold scalars only (``theta_m``/``theta_e`` stay None,
     whatever ``low_memory`` says, and selection is off).
@@ -569,21 +763,21 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
     state = {"tau": 0.0}
 
     def oracle(sys, family, theta, t):
-        q = sys.channel(theta)[0]
+        log_q = _log(sys.channel(theta)[0])
 
         def g(tau):
-            w = _tilted_channel(q, tau, excess)
+            w = _tilted_channel(log_q, tau, excess)
             return float(np.sum(p_x[:, None] * w * excess))
 
         def curvature(tau):
-            w = _tilted_channel(q, tau, excess)
+            w = _tilted_channel(log_q, tau, excess)
             m1 = (w * excess).sum(axis=1)
             m2 = (w * excess ** 2).sum(axis=1)
             return float(p_x @ (m2 - m1 ** 2))
 
         a, b = expand_bracket(g, state["tau"], 1.0)
         if a == b:
-            w_bar = _tilted_channel(q, a, excess)
+            w_bar = _tilted_channel(log_q, a, excess)
             state["tau"] = a
             theta_bar = sys.theta_of_channel(w_bar)
             return theta_bar, theta_bar, np.array([-a])
@@ -602,7 +796,7 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
         k = max(1, min(k, 120))
         for _ in range(6):
             result = bisect(g, a, b, k)
-            w_bar = _tilted_channel(q, result.b, excess)
+            w_bar = _tilted_channel(log_q, result.b, excess)
             gb = result.derivative_at_b
             ga = g(result.a)
             if gb <= 0.0 or ga == gb:
@@ -610,7 +804,7 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
             else:
                 kappa = gb / (gb - ga)
                 w_rep = (1.0 - kappa) * w_bar \
-                    + kappa * _tilted_channel(q, result.a, excess)
+                    + kappa * _tilted_channel(log_q, result.a, excess)
             repair = kl_divergence((p_x[:, None] * w_rep).ravel(),
                                    (p_x[:, None] * w_bar).ravel())
             if repair <= eps_slack:
@@ -650,8 +844,11 @@ def solve_rd_side_info(p_xs, distortion, level: float,
     conditional mutual information I(input; output | side).  One global
     tilt parameter couples the per-side subproblems because they share
     the distortion budget; each round finds it by the same safeguarded
-    Newton iteration as :func:`solve_rd`.  The records hold scalars
-    only and ``trace.final_theta`` is None.
+    Newton iteration as :func:`solve_rd`.  The stop is the same
+    certified gap, with Blahut's bound summed over side symbols under
+    the shared tilt, and the finishing Newton step solves one system
+    over every side symbol's support and the shared tilt.  The records
+    hold scalars only and ``trace.final_theta`` is None.
     """
     p_xs = np.asarray(p_xs, dtype=float)
     if p_xs.ndim != 2:

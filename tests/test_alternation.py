@@ -69,8 +69,8 @@ def test_trace_fields_are_pinned(name, low_memory):
     assert trace.mode == "exact"
     assert trace.converged and solution.converged
     if name == "solve_qrd":
-        # selection follows low_memory, but the estimate is the last round
-        assert trace.selection_enabled is (not low_memory)
+        # the estimate is the last round, so nothing is selected
+        assert trace.selection_enabled is False
         if low_memory:
             assert trace.final_theta is None
             assert all(r.theta_m is None for r in trace.records)

@@ -143,6 +143,75 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(out)["status"] == "did_not_converge"
 
 
+# a full-dimensional problem whose optimal support leaves an output
+# empty, so the generic engine's e-step raises SupportError
+FULLDIM_SUPPORT_PROBLEM = {
+    "schema_version": "1",
+    "kind": "rd_fulldim",
+    "payload": {
+        "p_x": [0.06451920644747404, 0.5217248716372482,
+                0.41375592191527794],
+        "distortion": [
+            [0.2622657741458167, 0.17449315724509182, 0.09896407932446129],
+            [0.04300506307519655, 0.20769144806992057, 0.3299808581491733],
+            [0.24489457772218493, 0.7374278195734223, 0.5684990634903012]],
+        "level": 0.13855828637135725,
+    },
+    "options": {},
+}
+
+
+def test_support_error_exits_as_did_not_converge(tmp_path, capsys):
+    path = write_problem(tmp_path, FULLDIM_SUPPORT_PROBLEM)
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3
+    summary = json.loads(out)
+    assert summary["status"] == "did_not_converge"
+    assert "support" in summary["error"]
+    assert err == ""
+
+
+def test_summary_reports_the_certified_gap(tmp_path, capsys):
+    path = write_problem(tmp_path, RD_PROBLEM)
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0
+    gap = json.loads(out)["gap_nats"]
+    assert abs(gap) <= 1e-12
+    code, out, _ = run_cli(capsys, "run", str(path), "--eps", "0.05")
+    assert code == 0
+    assert json.loads(out)["gap_nats"] is None
+    slack = json.loads(json.dumps(RD_PROBLEM))
+    slack["payload"]["mode"] = "inequality"
+    code, out, _ = run_cli(capsys, "run",
+                           str(write_problem(tmp_path, slack, "slack.json")))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["iterations"] == 0 and summary["gap_nats"] == 0.0
+
+
+def test_trace_with_a_finishing_round_has_one_row_per_round(
+        tmp_path, capsys):
+    # an 8-symbol problem whose optimum leaves outputs empty: the last
+    # round is the finishing Newton step
+    rng = np.random.default_rng(5)
+    p = rng.dirichlet(np.ones(8))
+    d = rng.uniform(0.0, 1.0, (8, 8))
+    lo, hi = float(p @ d.min(axis=1)), float((p @ d).min())
+    problem = {"schema_version": "1", "kind": "rd",
+               "payload": {"p_x": p.tolist(), "distortion": d.tolist(),
+                           "level": lo + 0.3 * (hi - lo)}}
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, "run",
+                           str(write_problem(tmp_path, problem)),
+                           "--trace", str(trace))
+    assert code == 0
+    summary = json.loads(out)
+    rows = trace.read_text().splitlines()
+    assert len(rows) - 1 == summary["iterations"] - 1
+    assert float(rows[-1].split(",")[-1]) == summary["gap_nats"]
+    assert min(summary["output_marginal"]) == 0.0
+
+
 def test_schema_errors_name_the_field(tmp_path, capsys):
     cases = [
         ({**RD_PROBLEM, "bogus": 1}, "bogus"),
@@ -187,7 +256,7 @@ def test_trace_file_and_verification(tmp_path, capsys):
     rate = json.loads(out)["rate_nats"]
     lines = trace.read_text().splitlines()
     assert lines[0] == ("t,objective_nats,bound,tau_0,"
-                        "distortion_residual,marginal_residual")
+                        "distortion_residual,marginal_residual,gap")
     first = lines[1].split(",")
     assert int(first[0]) == 2
     assert float(first[2]) == pytest.approx(math.log(3.0), abs=1e-15)
@@ -289,9 +358,10 @@ def test_sweep_runs_levels_serially_and_stops_at_an_error(
     problem = write_problem(tmp_path, BINARY_PROBLEM)
     code, out, err = run_cli(capsys, "run", str(problem), "--sweep",
                              "0.05:0.45:5")
-    assert code == 1
-    assert out == ""
-    assert err == "error: empty output cell\n"
+    assert code == 3
+    assert json.loads(out) == {"status": "did_not_converge",
+                               "error": "empty output cell"}
+    assert err == ""
     levels = [level for level, _ in calls]
     assert levels == pytest.approx(list(np.linspace(0.05, 0.45, 5))[:3])
     assert levels == sorted(levels)

@@ -77,13 +77,14 @@ def random_tilt_case(rng):
 
 def residual(p, q, d, level):
     return lambda tau: _mean_distortion(
-        p, _tilted_channel(q, tau, d), d) - level
+        p, _tilted_channel(np.log(q), tau, d), d) - level
 
 
 def find_tilt(p, q, d, level, tau0, step0):
     """The tilt search of one round of the solve_rd loop: one side
     symbol, so the output laws are the single row ``q[None, :]``."""
-    tau, w = _newton_tilt(lambda x: _tilt_at(p, q[None, :], d, level, x),
+    log_q = np.log(q)[None, :]
+    tau, w = _newton_tilt(lambda x: _tilt_at(p, log_q, d, level, x),
                           tau0, step0)
     return tau, w[0]
 
@@ -112,7 +113,7 @@ def test_newton_tilt_matches_the_bisection_oracle():
             tau, w = find_tilt(p, q, d, level, tau0, step0)
             assert abs(g(tau)) <= _ROOT_TOL
             assert abs(tau - tau_ref) <= 1e-8 * (1.0 + abs(tau))
-            assert np.array_equal(w, _tilted_channel(q, tau, d))
+            assert np.array_equal(w, _tilted_channel(np.log(q), tau, d))
 
 
 def test_newton_tilt_evaluates_few_points(monkeypatch):

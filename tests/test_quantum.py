@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from bregman_em import (ArgumentError, DensityMatrix, InfeasibleError,
-                        NotPositiveDefiniteError, QuantumSystem, RankError,
-                        divergence, gell_mann_basis, hermitian_function,
-                        kl_divergence, matrix_exp, matrix_log, partial_trace,
+from bregman_em import (ArgumentError, DensityMatrix, EmOptions,
+                        InfeasibleError, NotPositiveDefiniteError,
+                        QuantumSystem, RankError, divergence,
+                        gell_mann_basis, hermitian_function, kl_divergence,
+                        matrix_exp, matrix_log, partial_trace,
                         quantum_system, relative_entropy, solve_qrd,
                         solve_rd, theta_of_state)
 
@@ -272,7 +273,9 @@ def diagonal_delta(d):
 
 
 def test_qrd_diagonal_matches_classical_three_symbol():
-    classical = solve_rd(P_X, D_MATRIX, 1.5)
+    # both sides run plain em, stopped by the same objective-change rule
+    classical = solve_rd(P_X, D_MATRIX, 1.5, options=EmOptions(
+        max_iterations=1000, pure_em=True))
     q = solve_qrd(np.diag(P_X), diagonal_delta(D_MATRIX), 1.5)
     assert q.converged
     assert q.rate == pytest.approx(classical.rate, abs=1e-6)
@@ -360,7 +363,6 @@ def test_qrd_infeasible_and_validation():
         solve_qrd(rho_r, np.eye(2), 0.5)            # second factor trivial
     with pytest.raises(ArgumentError):
         solve_qrd(np.eye(8) / 8.0, np.eye(72), 30.0)
-    from bregman_em import EmOptions
     with pytest.raises(ArgumentError):
         solve_qrd(rho_r, delta, 0.5, options=EmOptions(max_iterations=1))
 
