@@ -56,9 +56,12 @@ class EmOptions:
     ``objective_tolerance``, so its ``converged`` is a certificate; the
     others (``run_em*`` and the solvers built on them, ``solve_qrd``)
     stop once the objective decreases by less than it, which certifies
-    nothing.  ``pure_em`` restores the plain alternation of the tilt
-    solvers: the objective-change stop and no finishing Newton step
-    (the gap is still recorded).  The two slacks are the
+    nothing.  So a tolerance of 0 runs every round of the latter, but
+    stops a certified loop at the first round whose gap rounds to at
+    most 0.  The tilt solvers default to 1000 iterations when given no
+    options; a near-zero-rate level may need several hundred rounds,
+    so a ``max_iterations`` below that can leave it uncertified
+    (``converged`` False).  The two slacks are the
     approximate-m-step budgets.  ``reference_divergence`` feeds the
     bound column of the trace; ``low_memory`` keeps only scalars per
     round, which disables final-round selection.  ``iteration_hook``
@@ -74,7 +77,6 @@ class EmOptions:
     low_memory: bool = False
     reference_divergence: Optional[float] = None
     iteration_hook: Optional[Callable] = None
-    pure_em: bool = False
 
 
 @dataclass
@@ -89,9 +91,9 @@ class EmIterate:
     The tilt solvers (``solve_rd``, ``solve_rd_side_info``) leave
     ``theta_m`` and ``theta_e`` empty: their records hold scalars only.
     They also fill ``lower_bound``, Blahut's dual bound on the optimum
-    at the round's output law and tilt, and ``gap``, the objective
-    minus that bound (both NaN elsewhere); ``finish`` marks a round
-    that is the KKT point of the finishing Newton step rather than an
+    at the round's output law and tilt (NaN elsewhere), and ``gap`` is
+    the objective minus that bound; ``finish`` marks a round that is
+    the KKT point of the finishing Newton step rather than an
     alternation round.
     """
 
@@ -107,8 +109,11 @@ class EmIterate:
     theta_bar: Optional[np.ndarray] = None
     facet_index: Optional[int] = None
     lower_bound: float = math.nan
-    gap: float = math.nan
     finish: bool = False
+
+    @property
+    def gap(self) -> float:
+        return self.objective - self.lower_bound
 
 
 @dataclass
@@ -193,8 +198,8 @@ class _Loop:
     column, ``iteration_hook``, the stop rule and the final selection.
 
     A round recorded with a ``lower_bound`` stops the loop once its gap
-    is at most ``objective_tolerance`` (unless ``pure_em``); a round
-    without one stops it once |delta objective| falls below it.
+    is at most ``objective_tolerance``; a round without one stops it
+    once |delta objective| falls below it.
 
     ``selection_enabled`` defaults to ``not options.low_memory``.  A
     record keeps the natural coordinates it is given (and none under
@@ -221,10 +226,9 @@ class _Loop:
         """Store one round; returns True when iteration should stop."""
         options = self.options
         selection_value = pre_e - bar_divergence
-        certified = lower_bound is not None and not options.pure_em
+        certified = lower_bound is not None
         if lower_bound is None:
             lower_bound = math.nan
-        gap = objective - lower_bound
         keep_arrays = not options.low_memory
 
         def kept(theta):
@@ -237,7 +241,7 @@ class _Loop:
             constraint_residual=residual, selection_value=selection_value,
             theta_m=kept(theta_m), theta_e=kept(theta_e),
             theta_bar=kept(theta_bar), facet_index=facet_index,
-            lower_bound=lower_bound, gap=gap, finish=finish)
+            lower_bound=lower_bound, finish=finish)
         self.trace.records.append(record)
         theta = None if theta_m is None else np.array(theta_m)
         self._last_theta = theta
@@ -251,6 +255,7 @@ class _Loop:
         self._previous_objective = objective
         if certified:
             # a NaN or infinite bound certifies nothing
+            gap = record.gap
             stop = math.isfinite(gap) and gap <= options.objective_tolerance
         else:
             stop = previous is not None and abs(previous - objective) \
@@ -391,7 +396,7 @@ def _format_cell(value) -> str:
 
 
 def _has_gaps(trace: EmTrace) -> bool:
-    return any(not math.isnan(r.gap) for r in trace.records)
+    return any(not math.isnan(r.lower_bound) for r in trace.records)
 
 
 def write_trace_csv(trace: EmTrace, path) -> None:

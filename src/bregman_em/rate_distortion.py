@@ -22,9 +22,8 @@ geometrically only when the optimal output support is the whole
 alphabet; on a sparse optimum it crawls.  So every few rounds the loop
 guesses the support from the bound and solves the optimality
 conditions on it by Newton's method, and keeps that point only when
-its gap over the whole alphabet meets the tolerance.  ``EmOptions``'
-``pure_em`` turns both off, for the plain alternation of the paper.
-The other solvers have no bound; their ``converged`` means the
+its gap over the whole alphabet meets the tolerance.  The other
+solvers have no bound; their ``converged`` means the
 objective stopped moving.
 
 Variants: a budgeted solver whose m-step runs a fixed number of
@@ -179,9 +178,9 @@ class RdSolution:
     value of the selected round for the budgeted protocol, None
     elsewhere.  ``converged`` is a certificate for :func:`solve_rd` and
     :func:`solve_rd_side_info` (the last record's ``gap``, rate minus
-    Blahut's bound, is at most ``objective_tolerance``) unless
-    ``pure_em`` is set; for the other solvers it means the objective
-    stopped moving, and their records' ``gap`` is NaN.
+    Blahut's bound, is at most ``objective_tolerance``); for the other
+    solvers it means the objective stopped moving, and their records'
+    ``gap`` is NaN.
     """
 
     rate: float
@@ -521,8 +520,7 @@ def _tilt_loop(p_xs, p_x_given_s, d, level: float, q, mode: str,
     there (:func:`_kkt_point`), and keeps the result as one more round,
     flagged ``finish``, only when its gap over the whole output
     alphabet meets the tolerance; so a wrong guess costs time, never
-    accuracy.  ``options.pure_em`` turns the finish off and stops on
-    the objective change instead.
+    accuracy.
 
     The records hold scalars only and ``trace.final_theta`` is None.
     ``channel`` is ``w[s, x, y]``, the channel at exactly the returned
@@ -585,8 +583,7 @@ def _tilt_loop(p_xs, p_x_given_s, d, level: float, q, mode: str,
         r = alternate(q, tau, step0)
         step0 = max(1e-8, 4.0 * abs(r.tau - tau))
         stop = record(t, r)
-        if not (stop or options.pure_em or t == max_t
-                or (t - 1) % _FINISH_EVERY):
+        if not (stop or t == max_t or (t - 1) % _FINISH_EVERY):
             kkt = finish(r, step0)
             if kkt is not None:
                 t += 1
@@ -620,8 +617,7 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
     rate is within ``objective_tolerance`` of Blahut's lower bound, and
     every five rounds tries to finish with Newton's method on the
     optimality conditions over a guessed support (see
-    :func:`_tilt_loop`; ``pure_em`` restores the plain alternation and
-    its objective-change stop).  Inequality mode returns a rate-zero
+    :func:`_tilt_loop`).  Inequality mode returns a rate-zero
     product solution whenever the ceiling is slack; otherwise the
     constraint binds and the equality iteration runs.
 
