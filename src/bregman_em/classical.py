@@ -291,6 +291,10 @@ class FeasibilityReport:
     ``per_output`` holds the product-channel distortions
     d_Y(y) = sum_x P_X(x) d(x, y).  Product flags refer to channels
     that ignore the input; the achievable range covers all channels.
+    With a side axis (a joint law ``p_xs[x, s]``), ``per_output[s, y]``
+    is side symbol s's d_Y(y) under P(x|s), and ``min_product`` and
+    ``max_product`` are the P_S-weighted sums of the per-side minima and
+    maxima, so ``min_product`` is not ``per_output.min()``.
     """
 
     level: float
@@ -309,18 +313,28 @@ def distortion_feasibility(p_x, distortion, level: float) -> FeasibilityReport:
 
     The closed achievable range is [sum_x P_X min_y d, sum_x P_X max_y
     d]; its interior is reached by strictly positive channels, the
-    endpoints only by deterministic ones.
+    endpoints only by deterministic ones.  A 2-D ``p_x`` is a joint
+    law ``p_xs[x, s]`` over input and decoder side symbols; the report
+    then has a side axis (see :class:`FeasibilityReport`).
     """
-    p_x = _check_distribution(p_x, "p_x")
+    p = np.asarray(p_x, dtype=float)
+    _check_distribution(p.ravel() if p.ndim == 2 else p, "p_x")
     d = np.asarray(distortion, dtype=float)
-    if d.ndim != 2 or d.shape[0] != p_x.size:
+    if d.ndim != 2 or d.shape[0] != p.shape[0]:
         raise ArgumentError("distortion must have one row per input symbol")
     level = float(level)
-    per_output = p_x @ d
-    lo = float(per_output.min())
-    hi = float(per_output.max())
-    achievable_min = float(p_x @ d.min(axis=1))
-    achievable_max = float(p_x @ d.max(axis=1))
+    if p.ndim == 2:
+        p_s = p.sum(axis=0)
+        per_output = (p / p_s).T @ d
+        lo = float(p_s @ per_output.min(axis=1))
+        hi = float(p_s @ per_output.max(axis=1))
+        p = p.sum(axis=1)
+    else:
+        per_output = p @ d
+        lo = float(per_output.min())
+        hi = float(per_output.max())
+    achievable_min = float(p @ d.min(axis=1))
+    achievable_max = float(p @ d.max(axis=1))
     return FeasibilityReport(
         level=level,
         per_output=per_output,

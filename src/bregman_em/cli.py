@@ -1,9 +1,10 @@
 """Command-line front end.
 
 ``bregman-em run problem.json`` solves the problem described by a JSON
-file and prints a JSON summary to stdout; ``--trace`` writes a
-deterministic per-round CSV, ``--sweep D0:D1:STEPS`` solves a grid of
-distortion levels one after another, and ``--bits`` adds base-2 display
+file and prints a JSON summary to stdout; ``--trace`` writes the
+deterministic per-round CSV of ``em.write_trace_csv``, one format for
+every kind, ``--sweep D0:D1:STEPS`` solves a grid of distortion levels
+one after another, and ``--bits`` adds base-2 display
 fields next to the nats values.  ``bregman-em verify-bounds trace.csv
 --reference R`` checks every recorded objective against its bound
 column (or against log(cardinality)/(t-1) with ``--cardinality``).
@@ -32,11 +33,12 @@ from typing import Optional
 import numpy as np
 
 from .classical import canonical_simplex_system, simplex_system
-from .em import EmOptions, EmTrace, _format_cell, _has_gaps, run_em
+from .em import EmOptions, EmTrace, run_em, write_trace_csv
 from .errors import (ArgumentError, BregmanEmError, ConvergenceError,
                      FormatError, InfeasibleError, SchemaError, SupportError)
 from .families import ExponentialSubfamily, MixtureSubfamily
-from .quantum import DensityMatrix, QuantumSystem, partial_trace, solve_qrd
+# partial_trace is unused here; the benchmark's timing shims wrap it
+from .quantum import DensityMatrix, partial_trace, solve_qrd  # noqa: F401
 from .rate_distortion import (solve_rd, solve_rd_bisection, solve_rd_fulldim,
                               solve_rd_multi, solve_rd_side_info)
 
@@ -163,7 +165,8 @@ def _payload_mode(payload: dict, args) -> str:
     return payload.get("mode", "equality")
 
 
-def _floats(array) -> list:
+def _floats(array):
+    """A float, or nested lists of floats, for the JSON output."""
     return np.asarray(array, dtype=float).tolist()
 
 
@@ -203,8 +206,7 @@ def _solve_single(kind: str, payload: dict, mode: str, options: EmOptions,
     raise ArgumentError(f"kind {kind!r} does not take a distortion level")
 
 
-def _summary_common(kind: str, mode: str, solution, bits: bool,
-                    seed) -> dict:
+def _summarize(kind: str, mode: str, solution, bits: bool, seed) -> dict:
     summary = {
         "status": "converged" if solution.converged else "did_not_converge",
         "kind": kind,
@@ -213,38 +215,18 @@ def _summary_common(kind: str, mode: str, solution, bits: bool,
     }
     if bits:
         summary["rate_bits"] = float(solution.rate) / math.log(2.0)
-    tau = solution.tau
-    summary["tau"] = (_floats(tau) if isinstance(tau, np.ndarray)
-                      else float(tau))
-    distortion = solution.distortion
-    summary["distortion"] = (_floats(distortion)
-                             if isinstance(distortion, np.ndarray)
-                             else float(distortion))
+    summary["tau"] = _floats(solution.tau)
+    summary["distortion"] = _floats(solution.distortion)
     summary["constraint_residual"] = float(solution.constraint_residual)
     summary["iterations"] = int(solution.iterations)
     summary["converged"] = bool(solution.converged)
     summary["gap_nats"] = _gap(solution.trace)
     summary["seed"] = seed
-    return summary
-
-
-def _gap(trace: EmTrace) -> Optional[float]:
-    """The last round's certified gap; 0 for a rate-zero answer (no
-    rounds), which is optimal, and None for solvers without a bound."""
-    if not trace.records:
-        return 0.0
-    gap = trace.records[-1].gap
-    return None if math.isnan(gap) else float(gap)
-
-
-def _summarize(kind: str, mode: str, solution, bits: bool, seed) -> dict:
     if kind == "qrd":
-        summary = _summary_common(kind, mode, solution, bits, seed)
         summary["output_state_interleaved"] = _interleaved(
             solution.output_state)
         summary["state_interleaved"] = _interleaved(solution.state)
         return summary
-    summary = _summary_common(kind, mode, solution, bits, seed)
     if solution.guarantee is not None:
         summary["guarantee_nats"] = float(solution.guarantee)
         if bits:
@@ -257,82 +239,18 @@ def _summarize(kind: str, mode: str, solution, bits: bool, seed) -> dict:
     return summary
 
 
-def _residual_extractor(kind: str, payload: dict, level):
-    """Per-record (distortion_residual, marginal_residual) for the CLI
-    trace columns.  Structurally enforced marginals report zero."""
-    if kind == "rd_fulldim":
-        p_x = np.asarray(payload["p_x"], dtype=float)
-        d = np.asarray(payload["distortion"], dtype=float)
-        n1, n2 = d.shape
-        system = canonical_simplex_system(n1 * n2)
-
-        def extract(record):
-            if record.theta_m is None:
-                return record.constraint_residual, math.nan
-            joint = system.distribution(record.theta_m).reshape(n1, n2)
-            d_res = abs(float(np.sum(joint * d)) - level)
-            m_res = float(np.max(np.abs(joint.sum(axis=1) - p_x)))
-            return d_res, m_res
-        return extract
-    if kind == "rd_multi":
-        p_x = np.asarray(payload["p_x"], dtype=float)
-        matrices = [np.asarray(m, dtype=float)
-                    for m in payload["distortions"]]
-        levels = [float(v) for v in payload["levels"]]
-        from .classical import ConditionalSystem
-        system = ConditionalSystem(p_x, matrices[0].shape[1])
-
-        def extract(record):
-            if record.theta_m is None:
-                return record.constraint_residual, 0.0
-            w = system.channel(record.theta_m)
-            excess = [float(np.sum(p_x[:, None] * w * m)) - v
-                      for m, v in zip(matrices, levels)]
-            return max(max(excess), 0.0), 0.0
-        return extract
-    if kind == "qrd":
-        d_r = int(payload["d_r"])
-        d_b = int(payload["d_b"])
-        rho_r = DensityMatrix.from_interleaved(payload["rho_r"], d_r).matrix
-        delta = _complex_matrix(payload["delta"], d_r * d_b, "delta")
-        system = QuantumSystem(d_r * d_b)
-
-        def extract(record):
-            if record.theta_m is None:
-                return record.constraint_residual, math.nan
-            rho = system.state(record.theta_m)
-            d_res = abs(float(np.trace(rho @ delta).real) - level)
-            m_res = float(np.max(np.abs(
-                partial_trace(rho, (d_r, d_b), 1) - rho_r)))
-            return d_res, m_res
-        return extract
-
-    def extract(record):
-        return record.constraint_residual, 0.0
-    return extract
+def _gap(trace: EmTrace) -> Optional[float]:
+    """The last round's certified gap; 0 for a rate-zero answer (no
+    rounds), which is optimal, and None for solvers without a bound."""
+    if not trace.records:
+        return 0.0
+    gap = trace.records[-1].gap
+    return None if math.isnan(gap) else float(gap)
 
 
-def _write_cli_trace(path, trace: EmTrace, extract) -> None:
-    n_tau = max((r.tau.size for r in trace.records), default=0)
-    gaps = _has_gaps(trace)
-    header = ["t", "objective_nats", "bound"]
-    header += [f"tau_{i}" for i in range(n_tau)]
-    header += ["distortion_residual", "marginal_residual"] + ["gap"] * gaps
-    lines = [",".join(header)]
-    for record in trace.records:
-        d_res, m_res = extract(record)
-        cells = [str(record.t), _format_cell(record.objective),
-                 _format_cell(record.bound)]
-        for i in range(n_tau):
-            cells.append(_format_cell(float(record.tau[i]))
-                         if i < record.tau.size else "")
-        cells.append(_format_cell(d_res))
-        cells.append(_format_cell(m_res))
-        if gaps:
-            cells.append(_format_cell(record.gap))
-        lines.append(",".join(cells))
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _write_cli_trace(path, trace: EmTrace) -> None:
+    """Write a ``--trace`` file; every kind uses the engine's format."""
+    write_trace_csv(trace, path)
 
 
 def _parse_sweep(spec: str) -> np.ndarray:
@@ -387,37 +305,11 @@ def _command_run(args) -> int:
         raise ArgumentError("--eps selects the budgeted bisection solver, "
                             "which handles the rd kind only")
 
-    if kind == "em_generic":
-        if args.sweep is not None:
-            raise ArgumentError("--sweep applies to solvers with a "
-                                "distortion level")
-        if args.mode is not None:
-            raise ArgumentError("--mode does not apply to em_generic")
-        summary, trace = _run_em_generic(payload, options)
-        if args.trace is not None:
-            _write_cli_trace(args.trace, trace,
-                             _residual_extractor(kind, payload, None))
-        print(json.dumps(summary, indent=2))
-        return 0 if summary["converged"] else 3
-
+    if args.sweep is not None and kind in ("em_generic", "rd_multi"):
+        raise ArgumentError("--sweep applies to solvers with a single "
+                            "distortion level")
     mode = _payload_mode(payload, args)
     seed = extra.get("seed")
-
-    if kind == "rd_multi":
-        if args.mode is not None and args.mode != "inequality":
-            raise ArgumentError("several simultaneous constraints run in "
-                                "inequality mode")
-        if args.sweep is not None:
-            raise ArgumentError("--sweep applies to single-constraint "
-                                "solvers")
-        solution = solve_rd_multi(payload["p_x"], payload["distortions"],
-                                  payload["levels"], options=options)
-        summary = _summarize(kind, "inequality", solution, args.bits, seed)
-        if args.trace is not None:
-            _write_cli_trace(args.trace, solution.trace,
-                             _residual_extractor(kind, payload, None))
-        print(json.dumps(summary, indent=2))
-        return 0 if solution.converged else 3
 
     if args.sweep is not None:
         if args.trace is not None:
@@ -431,7 +323,7 @@ def _command_run(args) -> int:
             except InfeasibleError as exc:
                 return {"level": float(level), "status": "infeasible",
                         "error": str(exc)}
-            except ConvergenceError as exc:
+            except (ConvergenceError, SupportError) as exc:
                 return {"level": float(level),
                         "status": "did_not_converge", "error": str(exc)}
             entry = {"level": float(level),
@@ -440,13 +332,8 @@ def _command_run(args) -> int:
                      "rate_nats": float(solution.rate)}
             if args.bits:
                 entry["rate_bits"] = float(solution.rate) / math.log(2.0)
-            tau = solution.tau
-            entry["tau"] = (_floats(tau) if isinstance(tau, np.ndarray)
-                            else float(tau))
-            distortion = solution.distortion
-            entry["distortion"] = (_floats(distortion)
-                                   if isinstance(distortion, np.ndarray)
-                                   else float(distortion))
+            entry["tau"] = _floats(solution.tau)
+            entry["distortion"] = _floats(solution.distortion)
             entry["iterations"] = int(solution.iterations)
             return entry
 
@@ -460,15 +347,27 @@ def _command_run(args) -> int:
         return {"converged": 0, "infeasible": 2,
                 "did_not_converge": 3}[overall]
 
-    solution = _solve_single(kind, payload, mode, options, eps, extra,
-                             float(payload["level"]))
-    summary = _summarize(kind, mode, solution, args.bits, seed)
+    if kind == "em_generic":
+        if args.mode is not None:
+            raise ArgumentError("--mode does not apply to em_generic")
+        summary, trace = _run_em_generic(payload, options)
+    elif kind == "rd_multi":
+        if args.mode is not None and args.mode != "inequality":
+            raise ArgumentError("several simultaneous constraints run in "
+                                "inequality mode")
+        solution = solve_rd_multi(payload["p_x"], payload["distortions"],
+                                  payload["levels"], options=options)
+        summary = _summarize(kind, "inequality", solution, args.bits, seed)
+        trace = solution.trace
+    else:
+        solution = _solve_single(kind, payload, mode, options, eps, extra,
+                                 float(payload["level"]))
+        summary = _summarize(kind, mode, solution, args.bits, seed)
+        trace = solution.trace
     if args.trace is not None:
-        _write_cli_trace(args.trace, solution.trace,
-                         _residual_extractor(kind, payload,
-                                             float(payload["level"])))
+        _write_cli_trace(args.trace, trace)
     print(json.dumps(summary, indent=2))
-    return 0 if solution.converged else 3
+    return 0 if summary["converged"] else 3
 
 
 @dataclass(frozen=True)
@@ -492,9 +391,9 @@ def verify_bounds(trace_path, reference: float,
     """Check objective(t) - reference <= bound(t) + tolerance per row.
 
     The bound comes from the trace's own bound column, or is recomputed
-    as log(cardinality)/(t-1) when ``cardinality`` is given.  Accepts
-    both the command-line trace format (objective_nats) and the engine
-    format (objective).
+    as log(cardinality)/(t-1) when ``cardinality`` is given.  Reads the
+    objective from ``objective``, the column ``write_trace_csv`` writes,
+    or from ``objective_nats``, that of older command-line traces.
     """
     try:
         with open(trace_path, newline="") as handle:

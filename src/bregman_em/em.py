@@ -64,9 +64,10 @@ class EmOptions:
     (``converged`` False).  The two slacks are the
     approximate-m-step budgets.  ``reference_divergence`` feeds the
     bound column of the trace; ``low_memory`` keeps only scalars per
-    round, which disables final-round selection.  ``iteration_hook``
-    receives each recorded round (for contraction-ratio logging and
-    the like).
+    round, which disables final-round selection (the records of
+    ``solve_qrd`` and of the tilt solvers hold scalars only either
+    way).  ``iteration_hook`` receives each recorded round (for
+    contraction-ratio logging and the like).
     """
 
     max_iterations: int = 200
@@ -88,13 +89,13 @@ class EmIterate:
     ``theta_e`` the e-step output, ``theta_bar`` the raw approximate
     iterate when applicable.  ``selection_value`` is the final-round
     selection criterion D(theta_m||previous e) - D(theta_m||theta_bar).
-    The tilt solvers (``solve_rd``, ``solve_rd_side_info``) leave
-    ``theta_m`` and ``theta_e`` empty: their records hold scalars only.
-    They also fill ``lower_bound``, Blahut's dual bound on the optimum
-    at the round's output law and tilt (NaN elsewhere), and ``gap`` is
-    the objective minus that bound; ``finish`` marks a round that is
-    the KKT point of the finishing Newton step rather than an
-    alternation round.
+    The tilt solvers (``solve_rd``, ``solve_rd_side_info``) and
+    ``solve_qrd`` leave ``theta_m`` and ``theta_e`` empty: their records
+    hold scalars only.  The tilt solvers also fill ``lower_bound``,
+    Blahut's dual bound on the optimum at the round's output law and
+    tilt (NaN elsewhere), and ``gap`` is the objective minus that
+    bound; ``finish`` marks a round that is the KKT point of the
+    finishing Newton step rather than an alternation round.
     """
 
     t: int
@@ -395,10 +396,6 @@ def _format_cell(value) -> str:
     return format(value, ".17g")
 
 
-def _has_gaps(trace: EmTrace) -> bool:
-    return any(not math.isnan(r.lower_bound) for r in trace.records)
-
-
 def write_trace_csv(trace: EmTrace, path) -> None:
     """Serialize a trace deterministically.
 
@@ -408,7 +405,7 @@ def write_trace_csv(trace: EmTrace, path) -> None:
     separator is '.', rows end in LF; absent bounds are empty cells.
     """
     n_tau = max((r.tau.size for r in trace.records), default=0)
-    gaps = _has_gaps(trace)
+    gaps = any(not math.isnan(r.lower_bound) for r in trace.records)
     header = ["t", "objective", "pre_e_objective", "bound"]
     header += [f"tau_{i}" for i in range(n_tau)]
     header += ["constraint_residual_max"] + ["gap"] * gaps

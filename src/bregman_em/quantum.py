@@ -221,30 +221,17 @@ class QuantumSystem(BregmanSystem):
 
     def state(self, theta) -> np.ndarray:
         """Normalized exponential state of the coordinates."""
-        lam, u = np.linalg.eigh(self._operator(theta))
-        w = np.exp(lam - lam.max())
-        return (u * (w / w.sum())) @ u.conj().T
+        return _gibbs_state(self._operator(theta))
 
     def potential(self, theta):
-        lam = np.linalg.eigvalsh(self._operator(theta))
-        m = lam.max()
-        return float(m + math.log(np.exp(lam - m).sum()))
+        return _log_trace_exp(self._operator(theta))
 
     def gradient(self, theta):
         rho = self.state(theta)
         return np.einsum("aij,ji->a", self.basis, rho).real
 
     def hessian(self, theta):
-        lam, u = np.linalg.eigh(self._operator(theta))
-        shifted = lam - lam.max()
-        weights = np.exp(shifted)
-        z = weights.sum()
-        phi = _exp_divided_difference(shifted)
-        tilded = u.conj().T @ self.basis @ u
-        h = np.einsum("apq,bpq->ab", tilded.conj(),
-                      tilded * phi[None, :, :]).real / z
-        eta = np.einsum("app,p->a", tilded, weights).real / z
-        return h - np.outer(eta, eta)
+        return _gibbs_hessian(self._operator(theta), self.basis)
 
 
 def _exp_divided_difference(eigs) -> np.ndarray:
@@ -258,6 +245,35 @@ def _exp_divided_difference(eigs) -> np.ndarray:
     ratio = np.where(small, 1.0 + h * h / 6.0 + h ** 4 / 120.0,
                      np.sinh(safe) / safe)
     return np.exp(mid) * ratio
+
+
+def _gibbs_state(a) -> np.ndarray:
+    """The state exp(a) / Tr exp(a) of a Hermitian matrix ``a``."""
+    lam, u = np.linalg.eigh(a)
+    w = np.exp(lam - lam.max())
+    return (u * (w / w.sum())) @ u.conj().T
+
+
+def _log_trace_exp(a) -> float:
+    """log Tr exp(a) of a Hermitian matrix ``a``."""
+    lam = np.linalg.eigvalsh(a)
+    m = lam.max()
+    return float(m + math.log(np.exp(lam - m).sum()))
+
+
+def _gibbs_hessian(a, operators) -> np.ndarray:
+    """Hessian in x of log Tr exp(a + sum_i x_i operators[i]) at x = 0:
+    the Kubo-Mori covariance of the operators in the state of ``a``."""
+    lam, u = np.linalg.eigh(a)
+    shifted = lam - lam.max()
+    weights = np.exp(shifted)
+    z = weights.sum()
+    phi = _exp_divided_difference(shifted)
+    tilded = u.conj().T @ operators @ u
+    h = np.einsum("apq,bpq->ab", tilded.conj(),
+                  tilded * phi[None, :, :]).real / z
+    eta = np.einsum("app,p->a", tilded, weights).real / z
+    return h - np.outer(eta, eta)
 
 
 def quantum_system(dim: int) -> QuantumSystem:
@@ -407,7 +423,10 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
     divergence minimization by a Newton iteration over the constraint
     multipliers; the e-step replaces the iterate by the product of
     ``rho_r`` with its own second marginal.  The rate is the relative
-    entropy between the final joint state and that product.
+    entropy between the final joint state and that product.  The
+    records hold scalars only (each ``constraint_residual`` is the
+    largest multiplier-gradient entry, i.e. the marginal and distortion
+    residual of the m-step) and ``trace.final_theta`` is None.
     """
     if mode not in ("equality", "inequality"):
         raise ArgumentError("mode must be 'equality' or 'inequality'")
@@ -473,8 +492,6 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
     # the estimate is the last round, so nothing is selected
     loop = _Loop(options, "exact", selection_enabled=False)
     tau = np.zeros(operators.shape[0])
-    keep = not options.low_memory
-    full_system = QuantumSystem(n) if keep else None
     for t in range(2, options.max_iterations + 1):
         log_prior = matrix_log(rho_e)
 
@@ -482,42 +499,24 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
             return log_prior + np.einsum("a,aij->ij", coeffs, operators)
 
         def psi(coeffs):
-            lam = np.linalg.eigvalsh(combined(coeffs))
-            m = lam.max()
-            return float(m + math.log(np.exp(lam - m).sum())
-                         - coeffs @ targets)
-
-        def state_of(coeffs):
-            lam, u = np.linalg.eigh(combined(coeffs))
-            w = np.exp(lam - lam.max())
-            return (u * (w / w.sum())) @ u.conj().T
+            return float(_log_trace_exp(combined(coeffs)) - coeffs @ targets)
 
         def psi_grad(coeffs):
-            rho = state_of(coeffs)
+            rho = _gibbs_state(combined(coeffs))
             return np.einsum("aij,ji->a", operators, rho).real - targets
 
         def psi_hess(coeffs):
-            lam, u = np.linalg.eigh(combined(coeffs))
-            shifted = lam - lam.max()
-            weights = np.exp(shifted)
-            z = weights.sum()
-            phi = _exp_divided_difference(shifted)
-            tilded = u.conj().T @ operators @ u
-            h = np.einsum("apq,bpq->ab", tilded.conj(),
-                          tilded * phi[None, :, :]).real / z
-            eta = np.einsum("app,p->a", tilded, weights).real / z
-            return h - np.outer(eta, eta)
+            return _gibbs_hessian(combined(coeffs), operators)
 
         tau = _clamped_newton(psi, psi_grad, psi_hess, tau)
-        rho_m = state_of(tau)
+        rho_m = _gibbs_state(combined(tau))
         pre_e = relative_entropy(rho_m, rho_e)
         rho_b = partial_trace(rho_m, (d_r, d_b), 0)
         rho_e = np.kron(rho_r, rho_b)
         objective = relative_entropy(rho_m, rho_e)
         distortion_value = float(np.trace(rho_m @ delta).real)
         residual = float(np.max(np.abs(psi_grad(tau))))
-        theta_m = theta_of_state(full_system, rho_m) if keep else None
-        if loop.record(t, theta_m, None, None, tau, pre_e, objective,
+        if loop.record(t, None, None, None, tau, pre_e, objective,
                        residual, 0.0):
             break
 

@@ -858,19 +858,7 @@ def solve_rd_side_info(p_xs, distortion, level: float,
     _check_mode(mode)
     options = _options(options, 1000)
 
-    p_s = p_xs.sum(axis=0)
-    p_x_given_s = p_xs / p_s
-    d_ys = p_x_given_s.T @ d
-    min_product = float(p_s @ d_ys.min(axis=1))
-    max_product = float(p_s @ d_ys.max(axis=1))
-    achievable_min = float(p_xs.sum(axis=1) @ d.min(axis=1))
-    achievable_max = float(p_xs.sum(axis=1) @ d.max(axis=1))
-    report = FeasibilityReport(
-        level=level, per_output=d_ys, min_product=min_product,
-        max_product=max_product, product_feasible=min_product <= level,
-        equality_achievable_by_product=min_product <= level <= max_product,
-        achievable_min=achievable_min, achievable_max=achievable_max,
-        equality_feasible=achievable_min <= level <= achievable_max)
+    report = distortion_feasibility(p_xs, d, level)
     _check_level_feasible(report, level, mode)
 
     q0 = _zero_rate_marginal(report, level, mode)
@@ -889,8 +877,8 @@ def solve_rd_side_info(p_xs, distortion, level: float,
         for row in q:
             _check_distribution(row, "initial_marginal")
 
-    return _tilt_loop(p_xs, p_x_given_s, d, level, q, mode, report,
-                      options)
+    return _tilt_loop(p_xs, p_xs / p_xs.sum(axis=0), d, level, q, mode,
+                      report, options)
 
 
 def solve_rd_multi(p_x, distortions: Sequence, levels: Sequence,

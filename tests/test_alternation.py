@@ -68,19 +68,13 @@ def test_trace_fields_are_pinned(name, low_memory):
     assert trace.final_index == last.t == solution.iterations
     assert trace.mode == "exact"
     assert trace.converged and solution.converged
-    if name == "solve_qrd":
-        # the estimate is the last round, so nothing is selected
-        assert trace.selection_enabled is False
-        if low_memory:
-            assert trace.final_theta is None
-            assert all(r.theta_m is None for r in trace.records)
-        else:
-            assert np.array_equal(trace.final_theta, last.theta_m)
-    else:
-        assert trace.selection_enabled is False
-        assert all(r.theta_m is None and r.theta_e is None
-                   for r in trace.records)
-        assert (trace.final_theta is None) is (name == "solve_rd_side_info")
+    # the estimate is the last round, so nothing is selected, and the
+    # records hold scalars only; solve_rd alone sets final_theta, from
+    # its final channel
+    assert trace.selection_enabled is False
+    assert all(r.theta_m is None and r.theta_e is None
+               for r in trace.records)
+    assert (trace.final_theta is None) is (name != "solve_rd")
 
 
 def test_solve_rd_marginal_is_the_product_with_an_unnormalised_source():

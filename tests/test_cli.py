@@ -1,6 +1,7 @@
 """Command-line interface: problem files, exit codes, JSON summaries,
 trace files, and the bound checker."""
 
+import io
 import json
 import math
 import threading
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from bregman_em import (ArgumentError, DensityMatrix, FormatError,
-                        SchemaError, SupportError, cli, load_problem,
-                        mutual_information, verify_bounds)
+                        RankError, SchemaError, SupportError, cli,
+                        load_problem, mutual_information, verify_bounds,
+                        write_trace_csv)
 from bregman_em.cli import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -35,6 +37,56 @@ BINARY_PROBLEM = {
         "p_x": [0.5, 0.5],
         "distortion": [[0.0, 1.0], [1.0, 0.0]],
         "level": 0.1,
+    },
+    "options": {},
+}
+
+# four-cell simplex, two tilt directions, one mean constraint
+EM_GENERIC_PROBLEM = {
+    "schema_version": "1",
+    "kind": "em_generic",
+    "payload": {
+        "n_points": 4,
+        "exp_anchor": [0.0, 0.0, 0.0],
+        "exp_generators": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+        "mix_directions": [[1.0, 2.0, 4.0]],
+        "mix_targets": [2.4],
+        "theta_init": [0.0, 0.0, 0.0],
+    },
+    "options": {"max_iterations": 500,
+                "objective_tolerance": 1e-13},
+}
+
+RD_MULTI_PROBLEM = {
+    "schema_version": "1",
+    "kind": "rd_multi",
+    "payload": {
+        "p_x": [0.5, 0.3, 0.2],
+        "distortions": [RD_PROBLEM["payload"]["distortion"]],
+        "levels": [0.5],
+    },
+    "options": {},
+}
+
+RD_SIDE_INFO_PROBLEM = {
+    "schema_version": "1",
+    "kind": "rd_side_info",
+    "payload": {
+        "p_xs": [[0.3, 0.2], [0.18, 0.12], [0.12, 0.08]],
+        "distortion": RD_PROBLEM["payload"]["distortion"],
+        "level": 1.5,
+    },
+    "options": {"max_iterations": 2000,
+                "objective_tolerance": 1e-12},
+}
+
+RD_FULLDIM_PROBLEM = {
+    "schema_version": "1",
+    "kind": "rd_fulldim",
+    "payload": {
+        "p_x": RD_PROBLEM["payload"]["p_x"],
+        "distortion": RD_PROBLEM["payload"]["distortion"],
+        "level": 1.5,
     },
     "options": {},
 }
@@ -255,11 +307,11 @@ def test_trace_file_and_verification(tmp_path, capsys):
     assert code == 0
     rate = json.loads(out)["rate_nats"]
     lines = trace.read_text().splitlines()
-    assert lines[0] == ("t,objective_nats,bound,tau_0,"
-                        "distortion_residual,marginal_residual,gap")
+    assert lines[0] == ("t,objective,pre_e_objective,bound,tau_0,"
+                        "constraint_residual_max,gap")
     first = lines[1].split(",")
     assert int(first[0]) == 2
-    assert float(first[2]) == pytest.approx(math.log(3.0), abs=1e-15)
+    assert float(first[3]) == pytest.approx(math.log(3.0), abs=1e-15)
 
     code, out, _ = run_cli(capsys, "verify-bounds", str(trace),
                            "--reference", repr(rate))
@@ -310,6 +362,44 @@ def test_trace_conflicts_with_sweep(tmp_path, capsys):
     assert "--trace" in err
 
 
+# every kind's problem and the solver name the command line calls for it
+TRACED_KINDS = {
+    "rd": (RD_PROBLEM, "solve_rd"),
+    "rd_side_info": (RD_SIDE_INFO_PROBLEM, "solve_rd_side_info"),
+    "rd_fulldim": (RD_FULLDIM_PROBLEM, "solve_rd_fulldim"),
+    "rd_multi": (RD_MULTI_PROBLEM, "solve_rd_multi"),
+    "qrd": (json.loads((EXAMPLES / "qrd_bell.json").read_text()),
+            "solve_qrd"),
+    "em_generic": (EM_GENERIC_PROBLEM, "run_em"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRACED_KINDS))
+def test_every_kind_traces_in_the_engine_format(kind, tmp_path, capsys,
+                                                 monkeypatch):
+    problem, solver = TRACED_KINDS[kind]
+    assert problem["kind"] == kind
+    solve = getattr(cli, solver)
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, solver, recording)
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, "run",
+                           str(write_problem(tmp_path, problem)),
+                           "--trace", str(trace))
+    assert code == 0
+    (result,) = results
+    expected = io.StringIO()
+    write_trace_csv(getattr(result, "trace", result), expected)
+    assert trace.read_bytes() == expected.getvalue().encode()
+    rows = trace.read_text().splitlines()[1:]
+    assert len(rows) == json.loads(out)["iterations"] - 1
+
+
 # ------------------------------------------------------------- sweep
 
 
@@ -347,23 +437,44 @@ def test_sweep_runs_levels_serially_and_stops_at_an_error(
         tmp_path, capsys, monkeypatch):
     solve = cli._solve_single
     calls = []
+    failure = {}
 
     def recording(kind, payload, mode, options, eps, extra, level):
         calls.append((level, threading.current_thread()))
-        if level > 0.2:
-            raise SupportError("empty output cell")
+        if level > 0.2 and failure:
+            raise failure["error"]
         return solve(kind, payload, mode, options, eps, extra, level)
 
     monkeypatch.setattr(cli, "_solve_single", recording)
     problem = write_problem(tmp_path, BINARY_PROBLEM)
+    grid = list(np.linspace(0.05, 0.45, 5))
+
+    # a numerical failure is that level's entry, and the sweep goes on
+    failure["error"] = SupportError("empty output cell")
     code, out, err = run_cli(capsys, "run", str(problem), "--sweep",
                              "0.05:0.45:5")
     assert code == 3
-    assert json.loads(out) == {"status": "did_not_converge",
-                               "error": "empty output cell"}
+    report = json.loads(out)
+    assert report["status"] == "did_not_converge"
+    assert [e["status"] for e in report["sweep"]] == (
+        ["converged"] * 2 + ["did_not_converge"] * 3)
+    assert all(e["error"] == "empty output cell"
+               for e in report["sweep"][2:])
     assert err == ""
     levels = [level for level, _ in calls]
-    assert levels == pytest.approx(list(np.linspace(0.05, 0.45, 5))[:3])
+    assert levels == pytest.approx(grid)
+    assert all(thread is threading.main_thread() for _, thread in calls)
+
+    # any other error ends the sweep at the level that raised it
+    calls.clear()
+    failure["error"] = RankError("dependent constraints")
+    code, out, err = run_cli(capsys, "run", str(problem), "--sweep",
+                             "0.05:0.45:5")
+    assert code == 1
+    assert out == ""
+    assert "dependent constraints" in err
+    levels = [level for level, _ in calls]
+    assert levels == pytest.approx(grid[:3])
     assert levels == sorted(levels)
     assert all(thread is threading.main_thread() for _, thread in calls)
 
@@ -396,29 +507,14 @@ def test_qrd_kind(capsys, tmp_path):
                          "--trace", str(trace))
     assert code == 0
     lines = trace.read_text().splitlines()
-    assert lines[0].startswith("t,objective_nats,bound,tau_0")
-    last = lines[-1].split(",")
-    assert float(last[-1]) < 1e-6          # reference marginal held
-    assert float(last[-2]) < 1e-6          # distortion met
+    assert lines[0].startswith("t,objective,pre_e_objective,bound,tau_0,")
+    last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    # the reference marginal is held and the distortion met
+    assert float(last["constraint_residual_max"]) < 1e-6
 
 
 def test_em_generic_kind(tmp_path, capsys):
-    # four-cell simplex, two tilt directions, one mean constraint
-    problem = {
-        "schema_version": "1",
-        "kind": "em_generic",
-        "payload": {
-            "n_points": 4,
-            "exp_anchor": [0.0, 0.0, 0.0],
-            "exp_generators": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
-            "mix_directions": [[1.0, 2.0, 4.0]],
-            "mix_targets": [2.4],
-            "theta_init": [0.0, 0.0, 0.0],
-        },
-        "options": {"max_iterations": 500,
-                    "objective_tolerance": 1e-13},
-    }
-    path = write_problem(tmp_path, problem)
+    path = write_problem(tmp_path, EM_GENERIC_PROBLEM)
     code, out, _ = run_cli(capsys, "run", str(path))
     assert code == 0
     summary = json.loads(out)
@@ -459,17 +555,7 @@ def test_em_generic_with_feature_system(tmp_path, capsys):
 
 
 def test_rd_multi_kind(tmp_path, capsys):
-    problem = {
-        "schema_version": "1",
-        "kind": "rd_multi",
-        "payload": {
-            "p_x": [0.5, 0.3, 0.2],
-            "distortions": [RD_PROBLEM["payload"]["distortion"]],
-            "levels": [0.5],
-        },
-        "options": {},
-    }
-    path = write_problem(tmp_path, problem)
+    path = write_problem(tmp_path, RD_MULTI_PROBLEM)
     code, out, _ = run_cli(capsys, "run", str(path))
     assert code == 0
     summary = json.loads(out)
@@ -483,18 +569,7 @@ def test_rd_multi_kind(tmp_path, capsys):
 
 
 def test_rd_side_info_kind(tmp_path, capsys):
-    problem = {
-        "schema_version": "1",
-        "kind": "rd_side_info",
-        "payload": {
-            "p_xs": [[0.3, 0.2], [0.18, 0.12], [0.12, 0.08]],
-            "distortion": RD_PROBLEM["payload"]["distortion"],
-            "level": 1.5,
-        },
-        "options": {"max_iterations": 2000,
-                    "objective_tolerance": 1e-12},
-    }
-    path = write_problem(tmp_path, problem)
+    path = write_problem(tmp_path, RD_SIDE_INFO_PROBLEM)
     code, out, _ = run_cli(capsys, "run", str(path))
     assert code == 0
     summary = json.loads(out)
@@ -502,28 +577,19 @@ def test_rd_side_info_kind(tmp_path, capsys):
 
 
 def test_rd_fulldim_kind(tmp_path, capsys):
-    problem = {
-        "schema_version": "1",
-        "kind": "rd_fulldim",
-        "payload": {
-            "p_x": RD_PROBLEM["payload"]["p_x"],
-            "distortion": RD_PROBLEM["payload"]["distortion"],
-            "level": 1.5,
-        },
-        "options": {},
-    }
-    path = write_problem(tmp_path, problem)
+    path = write_problem(tmp_path, RD_FULLDIM_PROBLEM)
     trace = tmp_path / "full.csv"
     code, out, _ = run_cli(capsys, "run", str(path), "--trace", str(trace))
     assert code == 0
     summary = json.loads(out)
     assert summary["rate_nats"] == pytest.approx(0.100039, abs=1e-4)
     assert len(summary["tau"]) == 3
-    header = trace.read_text().splitlines()[0]
-    assert header.startswith("t,objective_nats,bound,tau_0,tau_1,tau_2")
-    last = trace.read_text().splitlines()[-1].split(",")
-    assert float(last[-1]) < 1e-6          # input marginal pinned
-    assert float(last[-2]) < 1e-6
+    lines = trace.read_text().splitlines()
+    assert lines[0] == ("t,objective,pre_e_objective,bound,tau_0,tau_1,"
+                        "tau_2,constraint_residual_max")
+    last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    # the input marginal is pinned and the distortion met
+    assert float(last["constraint_residual_max"]) < 1e-6
 
 
 # ----------------------------------------------------- verify-bounds
