@@ -42,9 +42,6 @@ __all__ = [
     "write_trace_csv",
 ]
 
-MODES = ("exact", "approx_m_step", "closed_convex")
-
-
 @dataclass
 class EmOptions:
     """Options shared by the em entry points.
@@ -61,8 +58,8 @@ class EmOptions:
     most 0.  The tilt solvers default to 1000 iterations when given no
     options; a near-zero-rate level may need several hundred rounds,
     so a ``max_iterations`` below that can leave it uncertified
-    (``converged`` False).  The two slacks are the
-    approximate-m-step budgets.  ``reference_divergence`` feeds the
+    (``converged`` False).  ``divergence_slack`` is the repair budget
+    of :func:`run_em_approx`.  ``reference_divergence`` feeds the
     bound column of the trace; ``low_memory`` keeps only scalars per
     round, which disables final-round selection (the records of
     ``solve_qrd`` and of the tilt solvers hold scalars only either
@@ -72,9 +69,7 @@ class EmOptions:
 
     max_iterations: int = 200
     objective_tolerance: float = 1e-10
-    objective_slack: float = 0.0
     divergence_slack: float = 0.0
-    mode: Optional[str] = None
     low_memory: bool = False
     reference_divergence: Optional[float] = None
     iteration_hook: Optional[Callable] = None
@@ -174,17 +169,6 @@ def _options(options: Optional[EmOptions],
                             "and must be at least 2")
     if options.objective_tolerance < 0.0:
         raise ArgumentError("objective tolerance must be non-negative")
-    return options
-
-
-def _check_options(options: Optional[EmOptions], mode: str) -> EmOptions:
-    options = _options(options)
-    if options.mode is not None and options.mode != mode:
-        raise ArgumentError(
-            f"options request mode {options.mode!r} but this entry point "
-            f"runs {mode!r}")
-    if options.objective_slack < 0.0 or options.divergence_slack < 0.0:
-        raise ArgumentError("slacks must be non-negative")
     return options
 
 
@@ -302,7 +286,7 @@ def run_em(system: BregmanSystem, exp_family: ExponentialSubfamily,
     returned estimate is the m-iterate at the round with the smallest
     pre-e-step objective.
     """
-    options = _check_options(options, "exact")
+    options = _options(options)
     theta_e = _require_member(exp_family, theta_init)
     loop = _Loop(options, "exact")
     tau = None
@@ -328,14 +312,16 @@ def run_em_approx(system: BregmanSystem, exp_family: ExponentialSubfamily,
     """Alternation with a caller-supplied approximate m-step.
 
     ``m_step_oracle(system, mix_family, theta, t)`` returns a triple
-    ``(theta_bar, theta_repaired, tau)``: the raw iterate whose
-    objective is within ``options.objective_slack`` of the exact
-    projection value, and a repaired family member within divergence
-    ``options.divergence_slack`` of it.  The cheap halves of that
-    contract (repair distance and family membership) are verified and
-    raise OracleContractError on violation.
+    ``(theta_bar, theta_repaired, tau)``: the raw iterate, whose
+    objective should be near the exact projection value, and a repaired
+    family member within divergence ``options.divergence_slack`` of it.
+    The cheap halves of that contract (repair distance and family
+    membership) are verified and raise OracleContractError on
+    violation.
     """
-    options = _check_options(options, "approx_m_step")
+    options = _options(options)
+    if options.divergence_slack < 0.0:
+        raise ArgumentError("divergence slack must be non-negative")
     theta_e = _require_member(exp_family, theta_init)
     loop = _Loop(options, "approx_m_step")
     beta = None
@@ -368,7 +354,7 @@ def run_em_closed_convex(system: BregmanSystem,
                          options: Optional[EmOptions] = None) -> EmTrace:
     """Alternation whose m-step projects onto a closed convex mixture
     family through its facet cover."""
-    options = _check_options(options, "closed_convex")
+    options = _options(options)
     theta_e = _require_member(exp_family, theta_init)
     loop = _Loop(options, "closed_convex")
     beta = None

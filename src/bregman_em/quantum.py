@@ -7,6 +7,8 @@ The rate-distortion solver alternates between the mixture family of
 joint states with a pinned reference marginal and mean distortion and
 the exponential family of product states, exactly as in the classical
 solvers but with matrix logarithms in place of probability ratios.
+It shares their level check and rate-zero rule; the reachable range it
+checks is the distortion observable's spectrum.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import BregmanSystem
 from .em import EmOptions, EmTrace, _Loop, _options
 from .errors import (ArgumentError, ConvergenceError, InfeasibleError,
                      NotPositiveDefiniteError, RankError)
+from .rate_distortion import _check_level, _check_mode, _zero_rate_weight
 
 __all__ = [
     "DensityMatrix",
@@ -236,15 +239,23 @@ class QuantumSystem(BregmanSystem):
 
 def _exp_divided_difference(eigs) -> np.ndarray:
     """Matrix of (e^a - e^b)/(a - b) over eigenvalue pairs, with the
-    diagonal limit e^a, computed stably through sinh(h)/h."""
+    diagonal limit e^a, computed stably through sinh(h)/h.  Pairs so far
+    apart that sinh(h) overflows (while e^mid underflows) take the
+    quotient directly."""
     lam = np.asarray(eigs, dtype=float)
-    mid = 0.5 * (lam[:, None] + lam[None, :])
-    h = 0.5 * (lam[:, None] - lam[None, :])
+    a, b = lam[:, None], lam[None, :]
+    mid = 0.5 * (a + b)
+    h = 0.5 * (a - b)
     small = np.abs(h) < 1e-5
-    safe = np.where(small, 1.0, h)
+    wide = np.abs(h) > 700.0
+    safe = np.where(small | wide, 1.0, h)
     ratio = np.where(small, 1.0 + h * h / 6.0 + h ** 4 / 120.0,
                      np.sinh(safe) / safe)
-    return np.exp(mid) * ratio
+    out = np.exp(mid) * ratio
+    if wide.any():
+        out = np.where(wide, (np.exp(a) - np.exp(b))
+                       / np.where(wide, a - b, 1.0), out)
+    return out
 
 
 def _gibbs_state(a) -> np.ndarray:
@@ -366,9 +377,16 @@ def _clamped_newton(value, grad, hess, x0, gradient_tolerance=1e-10,
     raise ConvergenceError("Newton did not reach the gradient tolerance")
 
 
-def _qrd_zero_rate(rho_r, delta, report: QrdFeasibility, level: float,
-                   mode: str, d_b: int) -> Optional[QrdSolution]:
-    lam, v = np.linalg.eigh(_delta_b(delta, rho_r, d_b))
+def _qrd_zero_rate(rho_r, delta, delta_b, report: QrdFeasibility,
+                   level: float, mode: str) -> Optional[QrdSolution]:
+    """Rate-zero answer ``rho_r (x) sigma``, or None: ``sigma`` mixes the
+    normalized eigenprojectors of ``delta_b``'s least and greatest
+    eigenvalues with the weight of :func:`_zero_rate_weight`."""
+    mu = _zero_rate_weight(report.min_product, report.max_product, level,
+                           mode)
+    if mu is None:
+        return None
+    lam, v = np.linalg.eigh(delta_b)
     tol = 1e-10 * max(1.0, abs(lam[-1]))
 
     def projector_state(target):
@@ -376,21 +394,8 @@ def _qrd_zero_rate(rho_r, delta, report: QrdFeasibility, level: float,
         vecs = v[:, sel]
         return (vecs @ vecs.conj().T) / int(sel.sum())
 
-    sigma = None
-    if mode == "inequality":
-        if level >= report.min_product - 1e-12:
-            sigma = projector_state(lam[0])
-    elif report.min_product - 1e-12 <= level <= report.max_product + 1e-12:
-        spread = report.max_product - report.min_product
-        if spread <= 1e-12:
-            sigma = projector_state(lam[0])
-        else:
-            mu = float(np.clip((level - report.min_product) / spread,
-                               0.0, 1.0))
-            sigma = (1.0 - mu) * projector_state(lam[0]) \
-                + mu * projector_state(lam[-1])
-    if sigma is None:
-        return None
+    sigma = (1.0 - mu) * projector_state(lam[0]) \
+        + mu * projector_state(lam[-1])
     state = np.kron(rho_r, sigma)
     distortion = float(np.trace(state @ delta).real)
     d_r = rho_r.shape[0]
@@ -403,12 +408,6 @@ def _qrd_zero_rate(rho_r, delta, report: QrdFeasibility, level: float,
         trace=EmTrace(records=[], final_index=0, final_theta=None,
                       converged=True, mode="exact"),
         feasibility=report)
-
-
-def _delta_b(delta, rho_r, d_b: int) -> np.ndarray:
-    d_r = rho_r.shape[0]
-    return partial_trace(delta @ np.kron(rho_r, np.eye(d_b)),
-                         (d_r, d_b), 0)
 
 
 def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
@@ -428,8 +427,7 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
     largest multiplier-gradient entry, i.e. the marginal and distortion
     residual of the m-step) and ``trace.final_theta`` is None.
     """
-    if mode not in ("equality", "inequality"):
-        raise ArgumentError("mode must be 'equality' or 'inequality'")
+    _check_mode(mode)
     rho_r = DensityMatrix(rho_r).matrix
     d_r = rho_r.shape[0]
     delta = _check_hermitian(delta, "delta")
@@ -442,12 +440,14 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
     if d_r * d_b > _MAX_TOTAL_DIM:
         raise ArgumentError("total dimension beyond %d is not supported"
                             % _MAX_TOTAL_DIM)
-    level = float(level)
     options = _options(options, 1000)
 
-    delta_b = _delta_b(delta, rho_r, d_b)
+    eye_b = np.eye(d_b)
+    delta_b = partial_trace(delta @ np.kron(rho_r, eye_b), (d_r, d_b), 0)
     lam_b = np.linalg.eigvalsh(delta_b)
     lam_full = np.linalg.eigvalsh(delta)
+    level = _check_level(level, float(lam_full[0]), float(lam_full[-1]),
+                         mode)
     report = QrdFeasibility(
         level=level, delta_b_spectrum=lam_b,
         min_product=float(lam_b[0]), max_product=float(lam_b[-1]),
@@ -455,23 +455,11 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
         equality_achievable_by_product=(
             float(lam_b[0]) <= level <= float(lam_b[-1])),
         spectrum_min=float(lam_full[0]), spectrum_max=float(lam_full[-1]))
-    if mode == "inequality":
-        if level < report.spectrum_min - 1e-12:
-            raise InfeasibleError(
-                "no state reaches mean distortion %.6g; the observable's "
-                "smallest eigenvalue is %.6g" % (level, report.spectrum_min))
-    elif not (report.spectrum_min - 1e-12 <= level
-              <= report.spectrum_max + 1e-12):
-        raise InfeasibleError(
-            "mean distortion %.6g is outside the observable's spectral "
-            "range [%.6g, %.6g]" % (level, report.spectrum_min,
-                                    report.spectrum_max))
-    zero = _qrd_zero_rate(rho_r, delta, report, level, mode, d_b)
+    zero = _qrd_zero_rate(rho_r, delta, delta_b, report, level, mode)
     if zero is not None:
         return zero
 
     basis_r = gell_mann_basis(d_r)
-    eye_b = np.eye(d_b)
     operators = [np.kron(x, eye_b) for x in basis_r] + [delta]
     operators = np.stack(operators)
     targets = np.array(

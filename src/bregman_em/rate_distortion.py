@@ -26,6 +26,11 @@ its gap over the whole alphabet meets the tolerance.  The other
 solvers have no bound; their ``converged`` means the
 objective stopped moving.
 
+Every solver, :func:`bregman_em.quantum.solve_qrd` too, first checks its
+level (:func:`_check_level`: not finite is an ``ArgumentError``, out of
+reach an ``InfeasibleError``) and returns rate zero without a round when
+an answer that ignores the input meets it (:func:`_zero_rate_weight`).
+
 Variants: a budgeted solver whose m-step runs a fixed number of
 bisection halvings and repairs the iterate by a two-point mixture, a
 side-information solver over conditionally product families, a solver
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -85,7 +91,7 @@ _TINY = np.finfo(float).tiny
 @dataclass(frozen=True)
 class DistortionConstraint:
     """One distortion matrix (inputs as rows, outputs as columns) and
-    its level."""
+    its level; both must be finite."""
 
     matrix: np.ndarray
     level: float
@@ -98,7 +104,8 @@ class DistortionConstraint:
         if not np.all(np.isfinite(matrix)):
             raise ArgumentError("distortion entries must be finite")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "level", _check_level(
+            self.level, -math.inf, math.inf, "inequality"))
 
 
 @dataclass(frozen=True)
@@ -252,28 +259,53 @@ def _with_reference(options: EmOptions, value: Optional[float]) -> EmOptions:
     return options
 
 
+def _check_level(level, lo: float, hi: float, mode: str) -> float:
+    """``level`` as a float once it is finite and reachable: at least
+    ``lo``, and in equality mode at most ``hi``, within ``_FEAS_TOL``."""
+    level = float(level)
+    if not math.isfinite(level):
+        raise ArgumentError("the distortion level must be finite, got %r"
+                            % level)
+    if level < lo - _FEAS_TOL:
+        raise InfeasibleError(
+            "no channel reaches mean distortion %.6g; the achievable "
+            "minimum is %.6g" % (level, lo))
+    if mode == "equality" and level > hi + _FEAS_TOL:
+        raise InfeasibleError(
+            "mean distortion %.6g is outside the achievable range "
+            "[%.6g, %.6g]" % (level, lo, hi))
+    return level
+
+
+def _zero_rate_weight(lo: float, hi: float, level: float,
+                      mode: str) -> Optional[float]:
+    """Weight on the dearest product answer of a rate-zero solution, or
+    None when the constraint forces dependence on the input.
+
+    ``lo`` and ``hi`` are the least and greatest distortions of the
+    answers that ignore the input (Blahut 1972: such an answer is
+    optimal once it meets the level).  Inequality mode: the cheapest
+    one works as soon as it meets the ceiling, weight 0.  Equality
+    mode: the mixture of the cheapest and dearest ones with this weight
+    interpolates any level inside ``[lo, hi]``.
+    """
+    if level < lo - _FEAS_TOL or (mode == "equality"
+                                  and level > hi + _FEAS_TOL):
+        return None
+    if mode == "inequality" or hi - lo <= _FEAS_TOL:
+        return 0.0
+    return float(np.clip((level - lo) / (hi - lo), 0.0, 1.0))
+
+
 def _zero_rate_marginal(report: FeasibilityReport,
                         level: float, mode: str) -> Optional[np.ndarray]:
     """Output distribution of a rate-zero solution (one per side symbol
-    when ``report.per_output`` has a row per side symbol), or None when
-    the constraint forces dependence on the input.
-
-    Inequality mode: the cheapest input-independent output works as
-    soon as its distortion meets the ceiling.  Equality mode: a
-    two-point mixture of the cheapest and dearest outputs, with one
-    weight for every side symbol, interpolates any level inside the
-    product-channel range.
-    """
-    if mode == "inequality":
-        if level < report.min_product - _FEAS_TOL:
-            return None
-        lam = 0.0
-    elif report.min_product - _FEAS_TOL <= level <= \
-            report.max_product + _FEAS_TOL:
-        spread = report.max_product - report.min_product
-        lam = 0.0 if spread <= _FEAS_TOL else float(
-            np.clip((level - report.min_product) / spread, 0.0, 1.0))
-    else:
+    when ``report.per_output`` has a row per side symbol), or None: the
+    mixture of the cheapest and dearest outputs weighted by
+    :func:`_zero_rate_weight`, with one weight for every side symbol."""
+    lam = _zero_rate_weight(report.min_product, report.max_product, level,
+                            mode)
+    if lam is None:
         return None
     per_output = np.atleast_2d(report.per_output)
     rows = np.arange(per_output.shape[0])
@@ -283,19 +315,17 @@ def _zero_rate_marginal(report: FeasibilityReport,
     return q.reshape(report.per_output.shape)
 
 
-def _check_level_feasible(report: FeasibilityReport, level: float,
-                          mode: str):
-    if mode == "inequality":
-        if level < report.achievable_min - _FEAS_TOL:
-            raise InfeasibleError(
-                "no channel reaches mean distortion %.6g; the achievable "
-                "minimum is %.6g" % (level, report.achievable_min))
-    elif not (report.achievable_min - _FEAS_TOL <= level
-              <= report.achievable_max + _FEAS_TOL):
-        raise InfeasibleError(
-            "mean distortion %.6g is outside the achievable range "
-            "[%.6g, %.6g]" % (level, report.achievable_min,
-                              report.achievable_max))
+def _start(p, distortion, level, mode: str):
+    """``(d, level, report, q0)`` of a single-constraint problem on the
+    source law ``p`` (a joint ``p_xs[x, s]`` with side information): the
+    checked matrix and level, the feasibility report and the rate-zero
+    output law of :func:`_zero_rate_marginal`, or None."""
+    d = _check_matrix(distortion, p.shape[0])
+    _check_mode(mode)
+    report = distortion_feasibility(p, d, level)
+    level = _check_level(level, report.achievable_min, report.achievable_max,
+                         mode)
+    return d, level, report, _zero_rate_marginal(report, level, mode)
 
 
 def _zero_rate_solution(p, d, q, level, mode, report,
@@ -628,13 +658,8 @@ def solve_rd(p_x, distortion, level: float, mode: str = "equality",
     empty.
     """
     p_x = _check_distribution(np.asarray(p_x, dtype=float), "p_x")
-    d = _check_matrix(distortion, p_x.size)
-    level = float(level)
-    _check_mode(mode)
     options = _options(options, 1000)
-    report = distortion_feasibility(p_x, d, level)
-    _check_level_feasible(report, level, mode)
-    q0 = _zero_rate_marginal(report, level, mode)
+    d, level, report, q0 = _start(p_x, distortion, level, mode)
     if q0 is not None:
         return _zero_rate_solution(p_x, d, q0, level, mode, report, "exact")
 
@@ -724,14 +749,9 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
     log(n_outputs)/(t1 - 1) plus the two slacks.
     """
     p_x = _check_distribution(np.asarray(p_x, dtype=float), "p_x")
-    d = _check_matrix(distortion, p_x.size)
-    level = float(level)
-    _check_mode(mode)
     if not eps > 0.0:
         raise ArgumentError("eps must be positive")
-    report = distortion_feasibility(p_x, d, level)
-    _check_level_feasible(report, level, mode)
-    q0 = _zero_rate_marginal(report, level, mode)
+    d, level, report, q0 = _start(p_x, distortion, level, mode)
     if q0 is not None:
         return _zero_rate_solution(p_x, d, q0, level, mode, report,
                                    "approx_m_step")
@@ -745,8 +765,7 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
     if options is None:
         options = EmOptions(max_iterations=t1)
     options = replace(options, max_iterations=t1, objective_tolerance=0.0,
-                      objective_slack=eps_slack, divergence_slack=eps_slack,
-                      mode=None)
+                      divergence_slack=eps_slack)
     options = _with_reference(options, math.log(n2))
 
     system = ConditionalSystem(p_x, n2)
@@ -760,26 +779,23 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
 
     def oracle(sys, family, theta, t):
         log_q = _log(sys.channel(theta)[0])
+        # the bracket ends, the curvature samples and the refined
+        # bisections revisit points; each is evaluated once
+        tilt = lru_cache(maxsize=None)(
+            lambda tau: _tilt_at(p_x, log_q, excess, 0.0, tau))
 
         def g(tau):
-            w = _tilted_channel(log_q, tau, excess)
-            return float(np.sum(p_x[:, None] * w * excess))
-
-        def curvature(tau):
-            w = _tilted_channel(log_q, tau, excess)
-            m1 = (w * excess).sum(axis=1)
-            m2 = (w * excess ** 2).sum(axis=1)
-            return float(p_x @ (m2 - m1 ** 2))
+            return tilt(tau)[0]
 
         a, b = expand_bracket(g, state["tau"], 1.0)
         if a == b:
-            w_bar = _tilted_channel(log_q, a, excess)
+            w_bar = tilt(a)[2]
             state["tau"] = a
             theta_bar = sys.theta_of_channel(w_bar)
             return theta_bar, theta_bar, np.array([-a])
         floor = zeta_minus
         if floor is None:
-            samples = [curvature(x) for x in np.linspace(a, b, 17)]
+            samples = [tilt(x)[1] for x in np.linspace(a, b, 17)]
             floor = min(samples)
         if not floor > 0.0:
             raise ConvergenceError(
@@ -792,7 +808,7 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
         k = max(1, min(k, 120))
         for _ in range(6):
             result = bisect(g, a, b, k)
-            w_bar = _tilted_channel(log_q, result.b, excess)
+            w_bar = tilt(result.b)[2]
             gb = result.derivative_at_b
             ga = g(result.a)
             if gb <= 0.0 or ga == gb:
@@ -800,7 +816,7 @@ def solve_rd_bisection(p_x, distortion, level: float, eps: float,
             else:
                 kappa = gb / (gb - ga)
                 w_rep = (1.0 - kappa) * w_bar \
-                    + kappa * _tilted_channel(log_q, result.a, excess)
+                    + kappa * tilt(result.a)[2]
             repair = kl_divergence((p_x[:, None] * w_rep).ravel(),
                                    (p_x[:, None] * w_bar).ravel())
             if repair <= eps_slack:
@@ -851,21 +867,13 @@ def solve_rd_side_info(p_xs, distortion, level: float,
         raise ArgumentError("p_xs must be a joint matrix over input and "
                             "side symbols")
     _check_distribution(p_xs.ravel(), "p_xs")
-    n1, ns = p_xs.shape
-    d = _check_matrix(distortion, n1)
-    n2 = d.shape[1]
-    level = float(level)
-    _check_mode(mode)
     options = _options(options, 1000)
-
-    report = distortion_feasibility(p_xs, d, level)
-    _check_level_feasible(report, level, mode)
-
-    q0 = _zero_rate_marginal(report, level, mode)
+    d, level, report, q0 = _start(p_xs, distortion, level, mode)
     if q0 is not None:
         return _zero_rate_solution(p_xs.T, d, q0, level, mode, report,
                                    "exact")
 
+    ns, n2 = p_xs.shape[1], d.shape[1]
     if initial_marginal is None:
         q = np.full((ns, n2), 1.0 / n2)
         options = _with_reference(options, math.log(n2))
@@ -906,13 +914,9 @@ def solve_rd_multi(p_x, distortions: Sequence, levels: Sequence,
         if d.shape[1] != n2:
             raise ArgumentError("all constraints must share the output "
                                 "alphabet")
-    levels = [float(v) for v in levels]
-    for d, level in zip(matrices, levels):
-        achievable_min = float(p_x @ d.min(axis=1))
-        if level < achievable_min - _FEAS_TOL:
-            raise InfeasibleError(
-                "no channel reaches mean distortion %.6g; the achievable "
-                "minimum is %.6g" % (level, achievable_min))
+    levels = [_check_level(level, float(p_x @ d.min(axis=1)), math.inf,
+                           "inequality")
+              for d, level in zip(matrices, levels)]
 
     per_output = np.stack([p_x @ d for d in matrices])
     slack_columns = np.all(
@@ -985,13 +989,8 @@ def solve_rd_fulldim(p_x, distortion, level: float, mode: str = "equality",
     the specialized iteration.
     """
     p_x = _check_distribution(np.asarray(p_x, dtype=float), "p_x")
-    d = _check_matrix(distortion, p_x.size)
-    level = float(level)
-    _check_mode(mode)
     options = _options(options, 1000)
-    report = distortion_feasibility(p_x, d, level)
-    _check_level_feasible(report, level, mode)
-    q0 = _zero_rate_marginal(report, level, mode)
+    d, level, report, q0 = _start(p_x, distortion, level, mode)
     if q0 is not None:
         return _zero_rate_solution(p_x, d, q0, level, mode, report, "exact")
 

@@ -195,6 +195,22 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(out)["status"] == "did_not_converge"
 
 
+@pytest.mark.parametrize("problem", ["rd", "qrd"])
+def test_nan_level_exits_1(problem, tmp_path, capsys):
+    # json reads NaN; unchecked, it would give a "converged" rate-zero
+    # answer (rd, inequality) or a numpy error inside the Newton solve
+    if problem == "rd":
+        data = json.loads(json.dumps(RD_PROBLEM))
+    else:
+        data = json.loads((EXAMPLES / "qrd_bell.json").read_text())
+    data["payload"].update(level=math.nan, mode="inequality")
+    code, out, err = run_cli(capsys, "run",
+                             str(write_problem(tmp_path, data)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 # a full-dimensional problem whose optimal support leaves an output
 # empty, so the generic engine's e-step raises SupportError
 FULLDIM_SUPPORT_PROBLEM = {

@@ -119,11 +119,9 @@ def test_em_option_validation():
         run_em(system, exp_family, mix_family, np.zeros(3),
                EmOptions(max_iterations=1))
     with pytest.raises(ArgumentError):
-        run_em(system, exp_family, mix_family, np.zeros(3),
-               EmOptions(mode="approx_m_step"))
-    with pytest.raises(ArgumentError):
-        run_em(system, exp_family, mix_family, np.zeros(3),
-               EmOptions(objective_slack=-1.0))
+        run_em_approx(system, exp_family, mix_family, np.zeros(3),
+                      exact_oracle(system, mix_family),
+                      EmOptions(divergence_slack=-1.0))
 
 
 def test_em_iteration_hook_and_low_memory():
@@ -168,9 +166,7 @@ def test_approx_with_exact_oracle_matches_exact_run():
     exact = run_em(system, exp_family, mix_family, np.zeros(3), options)
     approx = run_em_approx(system, exp_family, mix_family, np.zeros(3),
                            exact_oracle(system, mix_family),
-                           EmOptions(max_iterations=30,
-                                     objective_tolerance=0.0,
-                                     mode="approx_m_step"))
+                           options)
     assert np.allclose(exact.objectives(), approx.objectives(), atol=1e-12)
     assert np.allclose(exact.final_theta, approx.final_theta, atol=1e-10)
 
@@ -232,10 +228,8 @@ def test_closed_convex_single_facet_matches_plain():
     family = ClosedConvexMixtureFamily(base=mix_family)
     options = EmOptions(max_iterations=25, objective_tolerance=0.0)
     plain = run_em(system, exp_family, mix_family, np.zeros(3), options)
-    convex = run_em_closed_convex(
-        system, exp_family, family, np.zeros(3),
-        EmOptions(max_iterations=25, objective_tolerance=0.0,
-                  mode="closed_convex"))
+    convex = run_em_closed_convex(system, exp_family, family, np.zeros(3),
+                                  options)
     assert np.allclose(plain.objectives(), convex.objectives(), atol=1e-10)
     assert np.allclose(plain.final_theta, convex.final_theta, atol=1e-8)
 

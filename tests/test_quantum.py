@@ -3,9 +3,12 @@ basis algebra, entropy oracles, classical embeddings, and the
 maximally-entangled instance with its closed-form optimum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregman_em import (ArgumentError, DensityMatrix, EmOptions,
                         InfeasibleError, NotPositiveDefiniteError,
@@ -14,6 +17,7 @@ from bregman_em import (ArgumentError, DensityMatrix, EmOptions,
                         matrix_exp, matrix_log, partial_trace,
                         quantum_system, relative_entropy, solve_qrd,
                         solve_rd, theta_of_state)
+from bregman_em.quantum import _exp_divided_difference, _gibbs_hessian
 
 P_X = np.array([0.5, 0.3, 0.2])
 D_MATRIX = np.array([[0.0, 1.0, 2.0],
@@ -241,6 +245,19 @@ def test_quantum_system_gradient_and_hessian_finite_difference():
     assert np.allclose(hess, hess.T, atol=1e-12)
 
 
+def test_hessian_of_far_apart_eigenvalues_is_finite():
+    # sinh(750) overflows while exp(-750) underflows; that pair takes
+    # (e^a - e^b)/(a - b) directly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = _exp_divided_difference([0.0, -1500.0])
+        hess = _gibbs_hessian(np.diag([0.0, -1500.0]), gell_mann_basis(2))
+    assert np.all(np.isfinite(phi))
+    assert phi[0, 1] == phi[1, 0] == pytest.approx(1.0 / 1500.0, rel=1e-15)
+    assert np.allclose(hess, np.diag([2.0, 2.0, 0.0]) / 1500.0,
+                       rtol=0.0, atol=1e-15)
+
+
 def test_quantum_divergence_is_relative_entropy():
     system = quantum_system(3)
     rng = np.random.default_rng(31)
@@ -336,6 +353,40 @@ def test_qrd_zero_rate_paths():
     assert np.allclose(z.state, np.eye(4) / 4.0, atol=1e-12)
     slack = solve_qrd(np.eye(2) / 2.0, delta, 0.9, mode="inequality")
     assert slack.rate == 0.0
+
+
+@st.composite
+def diagonal_instances(draw):
+    """A source law and a small-integer distortion matrix (ties and
+    constant rows included)."""
+    n1, n2 = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n1, max_size=n1))
+    cells = draw(st.lists(st.integers(0, 4), min_size=n1 * n2,
+                          max_size=n1 * n2))
+    p = np.array(weights, dtype=float)
+    return p / p.sum(), np.array(cells, dtype=float).reshape(n1, n2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(instance=diagonal_instances(), fraction=st.floats(0.05, 0.95),
+       mode=st.sampled_from(["equality", "inequality"]))
+def test_diagonal_qrd_and_rd_share_the_rate_zero_rule(instance, fraction,
+                                                      mode):
+    # rho_R = diag p and Delta = diag d embed the classical problem, so
+    # both solvers see the same product range and must agree on whether
+    # an answer that ignores the input is optimal
+    p, d = instance
+    lo, hi = float(p @ d.min(axis=1)), float(p @ d.max(axis=1))
+    level = lo + fraction * (hi - lo)
+    options = EmOptions(max_iterations=2)
+    classical = solve_rd(p, d, level, mode=mode, options=options)
+    quantum = solve_qrd(np.diag(p), diagonal_delta(d), level, mode=mode,
+                        options=options)
+    assert (classical.iterations == 0) == (quantum.iterations == 0)
+    if classical.iterations == 0:
+        assert classical.rate == quantum.rate == 0.0
+        assert quantum.distortion == pytest.approx(classical.distortion,
+                                                   abs=1e-12)
 
 
 def test_qrd_trace_bound_and_descent():

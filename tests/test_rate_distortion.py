@@ -2,14 +2,16 @@
 cross-route consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bregman_em import (ArgumentError, DistortionConstraint, EmOptions,
                         InfeasibleError, RateDistortionProblem, SupportError,
-                        check_exp_convergence, solve_rd, solve_rd_bisection,
-                        solve_rd_fulldim, solve_rd_multi, solve_rd_side_info)
+                        check_exp_convergence, solve_qrd, solve_rd,
+                        solve_rd_bisection, solve_rd_fulldim, solve_rd_multi,
+                        solve_rd_side_info)
 
 P_X = np.array([0.5, 0.3, 0.2])
 D_MATRIX = np.array([[0.0, 1.0, 2.0],
@@ -168,6 +170,9 @@ def test_problem_validation():
         RateDistortionProblem(P_X, (c, c), mode="inequality").solve(eps=0.1)
     with pytest.raises(ArgumentError):
         DistortionConstraint(np.zeros(3), 0.5)
+    for level in (math.nan, math.inf):
+        with pytest.raises(ArgumentError):
+            DistortionConstraint(D_MATRIX, level)
 
 
 # ------------------------------------------------- budgeted bisection
@@ -351,3 +356,37 @@ def test_rank_diagnostic(three_symbol):
         check_exp_convergence(np.array([0.2, 0.8]))
     with pytest.raises(ArgumentError):
         check_exp_convergence(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+
+# ---------------------------------------------------- non-finite levels
+
+NON_FINITE_SOLVES = {
+    "rd": lambda level, mode: solve_rd(P_X, D_MATRIX, level, mode=mode),
+    "side_info": lambda level, mode: solve_rd_side_info(
+        np.outer(P_X, [0.6, 0.4]), D_MATRIX, level, mode=mode),
+    "bisection": lambda level, mode: solve_rd_bisection(
+        P_X, D_MATRIX, level, 0.1, mode=mode),
+    "fulldim": lambda level, mode: solve_rd_fulldim(P_X, D_MATRIX, level,
+                                                    mode=mode),
+    "multi": lambda level, mode: solve_rd_multi(
+        P_X, [D_MATRIX, D_MATRIX.T], [1.5, level]),
+    "qrd": lambda level, mode: solve_qrd(
+        np.diag([0.6, 0.4]), np.diag([0.0, 1.0, 1.0, 0.0]), level,
+        mode=mode),
+}
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf])
+@pytest.mark.parametrize("solver, mode", [
+    (solver, mode) for solver in NON_FINITE_SOLVES
+    for mode in ("equality", "inequality")
+    if solver != "multi" or mode == "inequality"])
+def test_non_finite_level_is_an_argument_error(solver, mode, level):
+    # every solver, before any numerical work: no warning, no numpy
+    # exception and no "converged" rate-zero answer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError) as caught:
+            NON_FINITE_SOLVES[solver](level, mode)
+    assert caught.type is ArgumentError
+    assert "finite" in str(caught.value)
