@@ -12,9 +12,11 @@ column (or against log(cardinality)/(t-1) with ``--cardinality``).
 Exit codes for ``run``: 0 converged, 1 malformed input or invalid
 arguments, 2 infeasible constraints, 3 the iteration ran out of budget
 before the tolerance or failed numerically (``ConvergenceError``,
-``SupportError``).  For ``rd`` without ``--eps`` and for
-``rd_side_info``, "converged" means that ``gap_nats``, the rate minus a
-dual lower bound, is within the tolerance; the other solvers stop when
+``SupportError``).  A problem-file field that does not convert to a
+number is malformed input.  For ``rd`` without ``--eps``,
+``rd_side_info`` and ``rd_multi``, "converged" means that ``gap_nats``,
+the rate minus a dual lower bound, is within the tolerance, and their
+``--trace`` files end in a ``gap`` column; the other solvers stop when
 the objective stops moving (or, with ``--eps``, after the budget) and
 report ``gap_nats`` as null.
 """
@@ -136,6 +138,16 @@ def _complex_matrix(values, dim: int, name: str) -> np.ndarray:
     return (flat[0::2] + 1.0j * flat[1::2]).reshape(dim, dim)
 
 
+def _number(value, field: str, kind=float):
+    """``kind(value)``, or a ``SchemaError`` naming ``field`` when the
+    problem file's value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(field, f"expected a number, got {value!r}") \
+            from exc
+
+
 def _merge_options(file_options: dict, args) -> tuple[EmOptions,
                                                       Optional[float], dict]:
     """File options overridden by command-line flags; returns the
@@ -147,16 +159,23 @@ def _merge_options(file_options: dict, args) -> tuple[EmOptions,
         max_iterations = args.max_iter
     if args.tol is not None:
         tolerance = args.tol
+    reference = file_options.get("reference_divergence")
     options = EmOptions(
-        max_iterations=int(max_iterations),
-        objective_tolerance=float(tolerance),
+        max_iterations=_number(max_iterations, "options.max_iterations",
+                               int),
+        objective_tolerance=_number(tolerance,
+                                    "options.objective_tolerance"),
         low_memory=bool(file_options.get("low_memory", False)),
-        reference_divergence=file_options.get("reference_divergence"))
+        reference_divergence=None if reference is None else _number(
+            reference, "options.reference_divergence"))
     eps = args.eps if args.eps is not None else file_options.get("eps")
-    extra = {"t1": file_options.get("t1"),
-             "zeta_minus": file_options.get("zeta_minus"),
+    t1, zeta = file_options.get("t1"), file_options.get("zeta_minus")
+    extra = {"t1": None if t1 is None else _number(t1, "options.t1", int),
+             "zeta_minus": None if zeta is None else _number(
+                 zeta, "options.zeta_minus"),
              "seed": file_options.get("seed")}
-    return options, (None if eps is None else float(eps)), extra
+    return options, (None if eps is None else _number(eps, "options.eps")), \
+        extra
 
 
 def _payload_mode(payload: dict, args) -> str:
@@ -183,11 +202,10 @@ def _solve_single(kind: str, payload: dict, mode: str, options: EmOptions,
     """Dispatch one solve at the given distortion level."""
     if kind == "rd":
         if eps is not None:
-            t1 = extra.get("t1")
             return solve_rd_bisection(
                 payload["p_x"], payload["distortion"], level, eps,
-                mode=mode, t1=None if t1 is None else int(t1),
-                zeta_minus=extra.get("zeta_minus"), options=options)
+                mode=mode, t1=extra["t1"], zeta_minus=extra["zeta_minus"],
+                options=options)
         return solve_rd(payload["p_x"], payload["distortion"], level,
                         mode=mode, options=options)
     if kind == "rd_side_info":
@@ -197,8 +215,8 @@ def _solve_single(kind: str, payload: dict, mode: str, options: EmOptions,
         return solve_rd_fulldim(payload["p_x"], payload["distortion"],
                                 level, mode=mode, options=options)
     if kind == "qrd":
-        d_r = int(payload["d_r"])
-        d_b = int(payload["d_b"])
+        d_r = _number(payload["d_r"], "payload.d_r", int)
+        d_b = _number(payload["d_b"], "payload.d_b", int)
         rho_r = DensityMatrix.from_interleaved(payload["rho_r"], d_r)
         delta = _complex_matrix(payload["delta"], d_r * d_b, "delta")
         return solve_qrd(rho_r.matrix, delta, level, mode=mode,
@@ -272,7 +290,8 @@ def _run_em_generic(payload: dict, options: EmOptions) -> dict:
         system = simplex_system(np.asarray(payload["features"],
                                            dtype=float))
     else:
-        system = canonical_simplex_system(int(payload["n_points"]))
+        system = canonical_simplex_system(
+            _number(payload["n_points"], "payload.n_points", int))
     anchor = np.asarray(payload["exp_anchor"], dtype=float)
     generators = np.asarray(payload["exp_generators"], dtype=float)
     if generators.ndim != 2:
@@ -361,7 +380,7 @@ def _command_run(args) -> int:
         trace = solution.trace
     else:
         solution = _solve_single(kind, payload, mode, options, eps, extra,
-                                 float(payload["level"]))
+                                 _number(payload["level"], "payload.level"))
         summary = _summarize(kind, mode, solution, args.bits, seed)
         trace = solution.trace
     if args.trace is not None:

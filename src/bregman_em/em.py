@@ -48,22 +48,22 @@ class EmOptions:
 
     ``max_iterations`` is the highest iterate index t1 (so t1 - 1
     alternation rounds run).  A loop that records a dual lower bound
-    (the tilt solvers ``solve_rd`` and ``solve_rd_side_info``) stops
-    once the gap between objective and bound is at most
-    ``objective_tolerance``, so its ``converged`` is a certificate; the
-    others (``run_em*`` and the solvers built on them, ``solve_qrd``)
-    stop once the objective decreases by less than it, which certifies
-    nothing.  So a tolerance of 0 runs every round of the latter, but
-    stops a certified loop at the first round whose gap rounds to at
-    most 0.  The tilt solvers default to 1000 iterations when given no
-    options; a near-zero-rate level may need several hundred rounds,
-    so a ``max_iterations`` below that can leave it uncertified
-    (``converged`` False).  ``divergence_slack`` is the repair budget
-    of :func:`run_em_approx`.  ``reference_divergence`` feeds the
-    bound column of the trace; ``low_memory`` keeps only scalars per
-    round, which disables final-round selection (the records of
-    ``solve_qrd`` and of the tilt solvers hold scalars only either
-    way).  ``iteration_hook`` receives each recorded round (for
+    (the tilt solvers ``solve_rd``, ``solve_rd_side_info`` and
+    ``solve_rd_multi``) stops once the gap between objective and bound
+    is at most ``objective_tolerance``, so its ``converged`` is a
+    certificate; the others (``run_em*`` and the solvers built on them,
+    ``solve_qrd``) stop once the objective decreases by less than it,
+    which certifies nothing.  So a tolerance of 0 runs every round of
+    the latter, but stops a certified loop at the first round whose gap
+    rounds to at most 0.  The tilt solvers default to 1000 iterations
+    when given no options; a near-zero-rate level may need several
+    hundred rounds, so a ``max_iterations`` below that can leave it
+    uncertified (``converged`` False).  ``divergence_slack`` is the
+    repair budget of :func:`run_em_approx`.  ``reference_divergence``
+    feeds the bound column of the trace; ``low_memory`` keeps only
+    scalars per round, which disables final-round selection (the
+    records of ``solve_qrd`` and of the tilt solvers hold scalars only
+    either way).  ``iteration_hook`` receives each recorded round (for
     contraction-ratio logging and the like).
     """
 
@@ -84,13 +84,14 @@ class EmIterate:
     ``theta_e`` the e-step output, ``theta_bar`` the raw approximate
     iterate when applicable.  ``selection_value`` is the final-round
     selection criterion D(theta_m||previous e) - D(theta_m||theta_bar).
-    The tilt solvers (``solve_rd``, ``solve_rd_side_info``) and
-    ``solve_qrd`` leave ``theta_m`` and ``theta_e`` empty: their records
-    hold scalars only.  The tilt solvers also fill ``lower_bound``,
-    Blahut's dual bound on the optimum at the round's output law and
-    tilt (NaN elsewhere), and ``gap`` is the objective minus that
-    bound; ``finish`` marks a round that is the KKT point of the
-    finishing Newton step rather than an alternation round.
+    The tilt solvers (``solve_rd``, ``solve_rd_side_info``,
+    ``solve_rd_multi``) and ``solve_qrd`` leave ``theta_m`` and
+    ``theta_e`` empty: their records hold scalars and slopes only.
+    The tilt solvers also fill ``lower_bound``, Blahut's dual bound on
+    the optimum at the round's output law and tilt (NaN elsewhere), and
+    ``gap`` is the objective minus that bound; ``finish`` marks a round
+    that is the KKT point of the finishing Newton step rather than an
+    alternation round.
     """
 
     t: int

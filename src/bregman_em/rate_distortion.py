@@ -22,9 +22,10 @@ geometrically only when the optimal output support is the whole
 alphabet; on a sparse optimum it crawls.  So every few rounds the loop
 guesses the support from the bound and solves the optimality
 conditions on it by Newton's method, and keeps that point only when
-its gap over the whole alphabet meets the tolerance.  The other
-solvers have no bound; their ``converged`` means the
-objective stopped moving.
+its gap over the whole alphabet meets the tolerance.
+:func:`solve_rd_multi` runs the same loop with one slope per distortion
+ceiling, each kept non-positive.  The other solvers have no bound;
+their ``converged`` means the objective stopped moving.
 
 Every solver, :func:`bregman_em.quantum.solve_qrd` too, first checks its
 level (:func:`_check_level`: not finite is an ``ArgumentError``, out of
@@ -34,9 +35,10 @@ an answer that ignores the input meets it (:func:`_zero_rate_weight`).
 Variants: a budgeted solver whose m-step runs a fixed number of
 bisection halvings and repairs the iterate by a two-point mixture, a
 side-information solver over conditionally product families, a solver
-for several simultaneous distortion ceilings (projection onto a closed
-convex set through its facet cover), and a full-dimensional route that
-runs the generic engine on the simplex of joint distributions.
+for several simultaneous distortion ceilings (a tilt slope per ceiling,
+found by projected Newton on the concave dual), and a full-dimensional
+route that runs the generic engine on the simplex of joint
+distributions.
 """
 
 from __future__ import annotations
@@ -55,12 +57,13 @@ from .classical import (ConditionalSystem, FeasibilityReport,
                         distortion_feasibility, kl_divergence,
                         mutual_information, simplex_expectation_constraint)
 from .convex import bisect, bisect_to_tolerance, expand_bracket
-from .em import (EmOptions, EmTrace, _Loop, _options, run_em, run_em_approx,
-                 run_em_closed_convex)
+from .core import _ARMIJO_SLOPE, _BLOWUP_NORM
+# run_em_closed_convex is unused here; the benchmark's timing shims wrap it
+from .em import (EmOptions, EmTrace, _Loop, _options, run_em,  # noqa: F401
+                 run_em_approx, run_em_closed_convex)
 from .errors import (ArgumentError, ConvergenceError, InfeasibleError,
-                     RankError, SupportError)
-from .families import (ClosedConvexMixtureFamily, ExponentialSubfamily,
-                       LinearInequality, MixtureSubfamily)
+                     SupportError)
+from .families import ExponentialSubfamily, MixtureSubfamily
 
 __all__ = [
     "DistortionConstraint",
@@ -85,6 +88,13 @@ _FINISH_EVERY = 5
 _FINISH_DELTAS = (0.05, 5e-3, 5e-4)
 _FINISH_STEPS = 30
 _FINISH_TOL = 1e-13
+_TILT_STEPS = 100
+_ARMIJO_HALVINGS = 60
+_HELD = 1e-6
+_RIDGE = 1e-12
+_STEP_GROWTH = 10.0
+_PHI_ROUND = 1e-14
+_DEPENDENT = 1e-9
 _TINY = np.finfo(float).tiny
 
 
@@ -180,11 +190,12 @@ class RdSolution:
     side-information solver it is indexed [s][x][y] and
     ``output_marginal`` is per-s).  ``rate`` is the mutual information
     of the returned channel in nats; ``tau`` is the exponential tilt of
-    the final m-step (an array of facet coefficients for the
-    multi-constraint solver).  ``guarantee`` is the certified objective
-    value of the selected round for the budgeted protocol, None
-    elsewhere.  ``converged`` is a certificate for :func:`solve_rd` and
-    :func:`solve_rd_side_info` (the last record's ``gap``, rate minus
+    the final m-step (for the multi-constraint solver, the non-positive
+    slopes of ``active_constraints``, in that order).  ``guarantee`` is
+    the certified objective value of the selected round for the
+    budgeted protocol, None elsewhere.  ``converged`` is a certificate
+    for :func:`solve_rd`, :func:`solve_rd_side_info` and
+    :func:`solve_rd_multi` (the last record's ``gap``, rate minus
     Blahut's bound, is at most ``objective_tolerance``); for the other
     solvers it means the objective stopped moving, and their records'
     ``gap`` is NaN.
@@ -432,68 +443,239 @@ def _tilt_at(p, log_q, d, level: float, tau: float):
             w)
 
 
-def _blahut_terms(p_cond, log_q, tau: float, d):
-    """``(log Z, c)`` of the tilt ``tau`` at the output laws ``q[s, y]``:
-    ``Z[s, x] = sum_y q[s, y] e^{tau d(x, y)}`` and ``c[s, y] =
-    sum_x p(x|s) e^{tau d(x, y)} / Z[s, x]`` (``q_next / q`` where
-    ``q > 0``).  ``c`` comes from the kernel, not from that quotient,
-    so an output with ``q = 0`` gets its ``c`` too; an overflowing
-    kernel gives an infinite ``c``, never a warning."""
-    a = tau * d
+def _log_partition(log_q, tau, d):
+    """``(a, log Z)``: the tilt exponent ``a = sum_i tau_i d_i`` (``tau *
+    d`` for one slope and one matrix, else the contraction of the slope
+    vector with the stack ``d[i]``) and ``log Z[s, x] = log sum_y q[s, y]
+    e^{a(x, y)}`` at the output laws ``log_q[s, y]``, each row shifted by
+    its largest term."""
+    a = np.tensordot(tau, d, 1) if isinstance(tau, np.ndarray) else tau * d
     b = a + log_q[:, None, :]
     top = b.max(axis=-1)
-    log_z = top + np.log(np.exp(b - top[..., None]).sum(axis=-1))
+    return a, top + np.log(np.exp(b - top[..., None]).sum(axis=-1))
+
+
+def _blahut_terms(p_cond, log_q, tau, d):
+    """``(log Z, c)`` of the tilt ``tau`` at the output laws ``q[s, y]``:
+    ``Z[s, x] = sum_y q[s, y] e^{a(x, y)}`` and ``c[s, y] = sum_x p(x|s)
+    e^{a(x, y)} / Z[s, x]`` (``q_next / q`` where ``q > 0``), with the
+    exponent ``a`` of :func:`_log_partition`.  ``c`` comes from the kernel,
+    not from that quotient, so an output with ``q = 0`` gets its ``c``
+    too; an overflowing kernel gives an infinite ``c``, never a
+    warning."""
+    a, log_z = _log_partition(log_q, tau, d)
     with np.errstate(over="ignore"):
         c = np.einsum("sx,sxy->sy", p_cond, np.exp(a - log_z[..., None]))
     return log_z, c
 
 
-def _kkt_point(p_joint, p_cond, d, level: float, support, q, tau: float):
+def _ceiling_dual(p, log_q, d, level, tau):
+    """``(phi, grad, cov, w)`` at the slopes ``tau`` of the dual of the
+    ceilings ``E d_i <= level_i`` at one output law ``log_q[0]``:
+    ``phi = tau . level - sum_x p(x) log Z(x)``, its gradient ``level -
+    E_tau[d]``, the tilted covariance matrix of the stack ``d`` (minus
+    the Hessian) and the tilted channel ``w[0, x, y]``."""
+    a, log_z = _log_partition(log_q, tau, d)
+    w = np.exp(a + log_q[:, None, :] - log_z[..., None])
+    mean = (w * d).sum(axis=-1)
+    spread = d - mean[..., None]
+    cov = np.einsum("x,ixy,jxy->ij", p, w * spread, spread)
+    return (float(tau @ level - p @ log_z[0]), level - mean @ p, cov, w)
+
+
+def _ceiling_tilt(p, log_q, d, level, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes ``tau <= 0`` that maximize the concave dual of the ceilings
+    ``E d_i <= level_i`` at one output law (:func:`_ceiling_dual`), and
+    their channel: the channel nearest in KL to the product with ``q``
+    that meets every ceiling, with equality wherever ``tau_i < 0``.
+
+    Projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20(2))
+    from ``tau``.  A slope whose ceiling holds and that lies within
+    ``_HELD`` (or the projected gradient, if smaller) of 0 is set to 0;
+    the others take the Newton step on their tilted covariance, with a
+    ridge of ``_RIDGE`` times its mean variance so that dependent
+    ceilings (a duplicate, say) still give a step, or the gradient
+    where no curvature is left, at most ``_STEP_GROWTH * (1 + max
+    |tau|)`` long.  An Armijo search
+    along the projection onto ``tau <= 0`` keeps the dual rising.  It
+    stops once the projected gradient is at most ``_ROOT_TOL``: every
+    ceiling met, and every one with a negative slope met with equality,
+    within that tolerance.  A dual without a maximum has diverging
+    slopes: once the dual exceeds ``max_y log(1 / q_y)``, the largest KL
+    of any channel from the product, or a slope passes
+    ``core._BLOWUP_NORM``, the ceilings are jointly unreachable, an
+    ``InfeasibleError``.  A search that stalls raises
+    ``ConvergenceError``.
+    """
+    phi, grad, cov, w = _ceiling_dual(p, log_q, d, level, tau)
+    # no channel is further than this from the product in KL, so a dual
+    # value above it proves the ceilings unreachable (weak duality)
+    most = -float(log_q[np.isfinite(log_q)].min())
+    for _ in range(_TILT_STEPS):
+        move = np.abs(np.minimum(tau + grad, 0.0) - tau).max()
+        if move <= _ROOT_TOL:
+            return tau, w
+        held = (tau >= -min(move, _HELD)) & (grad > 0.0)
+        free = ~held
+        step = np.zeros_like(tau)
+        if free.any():
+            c = cov[np.ix_(free, free)]
+            ridge = _RIDGE * float(np.trace(c)) / c.shape[0]
+            cap = _STEP_GROWTH * (1.0 + np.abs(tau).max())
+            try:
+                newton = np.linalg.solve(c + ridge * np.eye(c.shape[0]),
+                                         grad[free])
+            except np.linalg.LinAlgError:
+                newton = np.full(c.shape[0], np.nan)
+            if not np.all(np.isfinite(newton)):
+                # no curvature left: the dual is linear here
+                newton = grad[free] * (cap / np.abs(grad[free]).max())
+            longest = np.abs(newton).max()
+            step[free] = newton * (cap / longest if longest > cap else 1.0)
+        slack = _PHI_ROUND * (1.0 + abs(phi) + float(np.abs(tau) @ level))
+        alpha = 1.0
+        for _ in range(_ARMIJO_HALVINGS):
+            trial = np.where(held, 0.0, np.minimum(tau + alpha * step, 0.0))
+            point = _ceiling_dual(p, log_q, d, level, trial)
+            if point[0] >= phi + _ARMIJO_SLOPE * float(grad @ (trial - tau)) \
+                    - slack:
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError("the slopes of the distortion ceilings "
+                                   "stalled: no step raises the dual")
+        tau = trial
+        phi, grad, cov, w = point
+        if phi > most + slack or np.abs(tau).max() > _BLOWUP_NORM:
+            raise InfeasibleError("no channel meets every distortion "
+                                  "ceiling at once: the dual slopes "
+                                  "diverge")
+    raise ConvergenceError("the slopes of the distortion ceilings did not "
+                           "converge in %d Newton steps" % _TILT_STEPS)
+
+
+def _independent(cov, order) -> np.ndarray:
+    """Mask of a linearly independent set of the constraints whose
+    tilted covariance is ``cov``, taken greedily in ``order``: one joins
+    when more than ``_DEPENDENT`` of its variance is left after
+    projecting out the members."""
+    keep = np.zeros(cov.shape[0], bool)
+    for i in order:
+        members = np.flatnonzero(keep)
+        left = cov[i, i] - cov[i, members] @ np.linalg.solve(
+            cov[np.ix_(members, members)], cov[members, i])
+        keep[i] = left > _DEPENDENT * cov[i, i]
+    return keep
+
+
+def _product_point(per_output, level, q, active) -> Optional[np.ndarray]:
+    """An output law whose product channel meets every ceiling, or None:
+    ``q`` moved the least (in Euclid's norm) onto the ceilings
+    ``active``, each met with equality, and onto the simplex.  Outputs
+    that turn negative leave the support one at a time, the most
+    negative first; ``per_output[i, y]`` is the mean of ``d_i`` on
+    output ``y``."""
+    support = q > 0.0
+    while support.any():
+        rows = np.vstack([per_output[active][:, support],
+                          np.ones(support.sum())])
+        target = np.append(level[active], 1.0)
+        u = q[support] + np.linalg.lstsq(rows, target - rows @ q[support],
+                                         rcond=None)[0]
+        if u.min() >= 0.0:
+            point = np.zeros_like(q)
+            point[support] = u
+            # more rows than outputs leave a least-squares misfit
+            met = abs(u.sum() - 1.0) <= _FEAS_TOL and np.all(
+                per_output @ point <= level + _FEAS_TOL)
+            return point if met else None
+        support[np.flatnonzero(support)[np.argmin(u)]] = False
+    return None
+
+
+def _kkt_point(p_joint, p_cond, d, level, support, q, tau):
     """Output laws and tilt that solve the optimality conditions on
     ``support`` (a mask shaped like ``q[s, y]``), or None.
 
-    Newton's method on ``c[s, y](q, tau) = 1`` for ``y`` in the
-    support together with ``E[d] = level``, in the unknowns
-    ``(q[s, support], tau)`` with ``q = 0`` off the support, started
-    from ``(q, tau)``.  The Jacobian is closed-form: ``dc_y/dq_j =
-    -sum_x p(x|s) e_xy e_xj / Z_x^2``, ``dc_y/dtau`` and ``dE[d]/dq_y``
-    are tilted covariances of ``e_y / Z`` with ``d``, and
-    ``dE[d]/dtau`` is the tilted variance.  When the solution has a
-    negative ``q``, the most negative output leaves the support and the
-    solve restarts.  A singular or non-finite step, a side with an
-    empty support and a solve that does not reach the residual target
-    give None.
+    A scalar ``tau`` pins the level of the one matrix ``d``; a slope
+    vector goes with the ceilings ``E d_i <= level_i`` of a stack
+    ``d[i]``, and the active ones are those with ``tau_i < 0``.  Newton's
+    method on ``c[s, y](q, tau) = 1`` for ``y`` in the support together
+    with ``E[d_i] = level_i`` for each active ``i``, in the unknowns
+    ``(q[s, support], tau_active)`` with ``q = 0`` off the support and
+    the other slopes 0, started from ``(q, tau)``.  The Jacobian is
+    closed-form: ``dc_y/dq_j = -sum_x p(x|s) e_xy e_xj / Z_x^2``,
+    ``dc_y/dtau_i`` and ``dE[d_i]/dq_y`` are tilted covariances of ``e_y
+    / Z`` with ``d_i``, and ``dE[d_i]/dtau_j`` is the tilted covariance
+    of ``d_i`` and ``d_j``.  The solve restarts on a smaller problem
+    when the solution has a negative ``q`` (the most negative output
+    leaves the support) and, under ceilings, when it has a positive
+    slope (the largest leaves the active set) or when the active
+    ceilings are linearly dependent on the support: all but an
+    independent set, kept greedily from the steepest slope, leave, and
+    the kept slopes absorb theirs by regression on the covariance.  A
+    solution that breaks an inactive ceiling by more than ``_FEAS_TOL``
+    makes the most broken one active.  A singular or non-finite step, a
+    side with an empty support, no active constraint, a support and
+    active set met before and a solve that does not reach the residual
+    target give None.  The tilt comes back shaped as it was given.
     """
+    pinned = np.ndim(tau) == 0
+    stack = np.reshape(d, (-1,) + d.shape[-2:])
+    levels = np.atleast_1d(level)
+    slopes = np.atleast_1d(tau)
+    active = np.ones(1, bool) if pinned else slopes < 0.0
     support = support.copy()
+    tried = set()
     with np.errstate(all="ignore"):
-        while support.any(axis=1).all():
+        while support.any(axis=1).all() and active.any():
+            key = (active.tobytes(), support.tobytes())
+            if key in tried:
+                return None
+            tried.add(key)
+            rows = np.flatnonzero(active)
             sides = [np.flatnonzero(row) for row in support]
-            columns = [d[:, idx] for idx in sides]
+            chosen = stack[rows]
+            columns = [chosen[:, :, idx] for idx in sides]
             bounds = np.cumsum([0] + [idx.size for idx in sides])
             u = np.concatenate([q[s, idx] for s, idx in enumerate(sides)])
-            x = tau
-            n = u.size
-            for _ in range(_FINISH_STEPS):
-                f = np.empty(n + 1)
-                jac = np.zeros((n + 1, n + 1))
-                f[n] = -level
+            x = slopes[rows].astype(float)
+            target = levels[rows]
+            n, k = u.size, rows.size
+            dependent = None
+            ws = [None] * len(sides)
+            for it in range(_FINISH_STEPS):
+                f = np.empty(n + k)
+                jac = np.zeros((n + k, n + k))
+                f[n:] = -target
                 for s, ds in enumerate(columns):
                     part = slice(bounds[s], bounds[s + 1])
-                    a = x * ds
-                    k = np.exp(a - a.max(axis=1, keepdims=True))
-                    k /= (k @ u[part])[:, None]
-                    w = k * u[part]
-                    mean = (w * ds).sum(axis=1)
-                    dev = k * (ds - mean[:, None])
-                    f[part] = p_cond[s] @ k - 1.0
-                    jac[part, part] = -(k.T * p_cond[s]) @ k
-                    jac[part, n] = p_cond[s] @ dev
-                    jac[n, part] = p_joint[s] @ dev
-                    f[n] += p_joint[s] @ mean
-                    jac[n, n] += p_joint[s] @ (
-                        dev * u[part] * (ds - mean[:, None])).sum(axis=1)
+                    a = x[0] * ds[0]
+                    for i in range(1, k):
+                        a = a + x[i] * ds[i]
+                    e = np.exp(a - a.max(axis=1, keepdims=True))
+                    e /= (e @ u[part])[:, None]
+                    ws[s] = w = e * u[part]
+                    f[part] = p_cond[s] @ e - 1.0
+                    jac[part, part] = -(e.T * p_cond[s]) @ e
+                    means = (w * ds).sum(axis=-1)
+                    spread = ds - means[..., None]
+                    for i in range(k):
+                        dev = e * spread[i]
+                        jac[part, n + i] = p_cond[s] @ dev
+                        jac[n + i, part] = p_joint[s] @ dev
+                        f[n + i] += p_joint[s] @ means[i]
+                        for j in range(i, k):
+                            jac[n + i, n + j] += p_joint[s] @ (
+                                dev * u[part] * spread[j]).sum(axis=1)
+                            jac[n + j, n + i] = jac[n + i, n + j]
                 if not np.all(np.isfinite(f)):
                     return None
+                if it == 0 and not pinned:
+                    # at the start u = q >= 0, so this block is a covariance
+                    dependent = ~_independent(jac[n:, n:], np.argsort(x))
+                    if dependent.any():
+                        break
                 if np.abs(f).max() <= _FINISH_TOL:
                     break
                 try:
@@ -503,87 +685,140 @@ def _kkt_point(p_joint, p_cond, d, level: float, support, q, tau: float):
                 if not np.all(np.isfinite(step)):
                     return None
                 u += step[:n]
-                x += step[n]
+                x += step[n:]
             else:
                 return None
+            if dependent is not None and dependent.any():
+                # the kept slopes take over the tilt of the dropped ones
+                cov, keep = jac[n:, n:], ~dependent
+                slopes = slopes.astype(float)
+                slopes[rows[keep]] = x[keep] + np.linalg.solve(
+                    cov[np.ix_(keep, keep)],
+                    cov[np.ix_(keep, dependent)]) @ x[dependent]
+                active[rows[dependent]] = False
+                continue
             worst = int(np.argmin(u))
-            if u[worst] >= 0.0:
-                point = np.zeros_like(q)
-                point[support] = u
-                return point, float(x)
-            s = int(np.searchsorted(bounds, worst, side="right")) - 1
-            support[s, sides[s][worst - bounds[s]]] = False
+            if u[worst] < 0.0:
+                s = int(np.searchsorted(bounds, worst, side="right")) - 1
+                support[s, sides[s][worst - bounds[s]]] = False
+                continue
+            if not pinned:
+                if x.max() > 0.0:
+                    active[rows[np.argmax(x)]] = False
+                    continue
+                excess = sum((w * stack[:, :, idx]).sum(axis=-1) @ p_joint[s]
+                             for s, (w, idx) in enumerate(zip(ws, sides)))
+                excess = np.where(active, -np.inf, excess - levels)
+                if excess.max() > _FEAS_TOL:
+                    active[np.argmax(excess)] = True
+                    continue
+            point = np.zeros_like(q)
+            point[support] = u
+            if pinned:
+                return point, float(x[0])
+            slopes = np.zeros_like(slopes, dtype=float)
+            slopes[rows] = x
+            return point, slopes
     return None
 
 
 class _Round(NamedTuple):
     """One round of :func:`_tilt_loop`: the tilt, its channel, the next
-    output laws, the two divergences, the distortion, Blahut's bound
-    and the ``c`` it came from."""
+    output laws, the two divergences, the distortion and its residual,
+    Blahut's bound and the ``c`` it came from."""
 
-    tau: float
+    tau: Union[float, np.ndarray]
     channel: np.ndarray
     output_marginal: np.ndarray
     pre_e: float
     objective: float
-    distortion: float
+    distortion: Union[float, np.ndarray]
+    residual: float
     lower_bound: float
     c: np.ndarray
 
 
-def _tilt_loop(p_xs, p_x_given_s, d, level: float, q, mode: str,
-               report: FeasibilityReport, options: EmOptions) -> RdSolution:
+def _tilt_loop(p_xs, p_x_given_s, d, level, q, mode: str,
+               report: Optional[FeasibilityReport],
+               options: EmOptions) -> RdSolution:
     """The alternation of :func:`solve_rd_side_info` on the joint source
     ``p_xs[x, s]`` from the output laws ``q[s, y]``, with a certified
     stop and a finishing Newton step.
 
-    Each round tilts every ``q[s]`` by one shared parameter, found by
-    :func:`_newton_tilt` so that the mean distortion meets ``level``,
-    and replaces ``q[s]`` by the output law of the tilted channel under
-    the source law ``p_x_given_s[:, s]``.  It records Blahut's bound
-    ``tau*level - sum p(x, s) log Z[s, x] - sum_s p(s) max_y log
-    c[s, y]`` at the round's ``(q, tau)`` (:func:`_blahut_terms`), and
-    the loop stops once objective minus bound is at most
-    ``objective_tolerance``.  Every ``_FINISH_EVERY`` rounds it guesses
-    the optimal support as ``{y : c[s, y] >= 1 - delta}`` for each
-    ``delta`` in ``_FINISH_DELTAS``, solves the optimality conditions
-    there (:func:`_kkt_point`), and keeps the result as one more round,
-    flagged ``finish``, only when its gap over the whole output
-    alphabet meets the tolerance; so a wrong guess costs time, never
-    accuracy.
+    A scalar ``level`` pins the mean of the one matrix ``d``; a vector
+    of levels sets ceilings ``E d_i <= level_i`` on a stack ``d[i]``
+    (one side symbol).  Each round tilts every ``q[s]`` by the exponent
+    ``a = sum_i tau_i d_i``, one shared slope per constraint, and
+    replaces ``q[s]`` by the output law of the tilted channel under the
+    source law ``p_x_given_s[:, s]``.  The slope meets a pinned level
+    by :func:`_newton_tilt`; slopes ``tau <= 0`` for ceilings come from
+    :func:`_ceiling_tilt`.  The round records Blahut's bound ``tau .
+    level - sum p(x, s) log Z[s, x] - sum_s p(s) max_y log c[s, y]`` at
+    its ``(q, tau)`` (:func:`_blahut_terms`), and the loop stops once
+    objective minus bound is at most ``objective_tolerance``.  Every
+    ``_FINISH_EVERY`` rounds it guesses the optimal support as ``{y :
+    c[s, y] >= 1 - delta}`` for each ``delta`` in ``_FINISH_DELTAS``,
+    solves the optimality conditions there and on the ceilings with a
+    negative slope (:func:`_kkt_point`), and keeps the result as one
+    more round, flagged ``finish``, only when its gap over the whole
+    output alphabet meets the tolerance and it meets every ceiling
+    within ``_FEAS_TOL``; so a wrong guess costs time, never accuracy.
+    Under ceilings it first tries the output law nearest ``q`` whose
+    product channel meets every ceiling (:func:`_product_point`): at
+    rate zero the slopes only vanish in the limit, so the alternation
+    alone would crawl there.
 
-    The records hold scalars only and ``trace.final_theta`` is None.
-    ``channel`` is ``w[s, x, y]``, the channel at exactly the returned
-    tilt, and ``rate`` is the KL of its joint against the product with
-    ``output_marginal``.
+    The records hold scalars and the slopes only, and
+    ``trace.final_theta`` is None.  ``channel`` is ``w[s, x, y]``, the
+    channel at exactly the returned tilt, and ``rate`` is the KL of its
+    joint against the product with ``output_marginal``.
     """
     p_joint = np.ascontiguousarray(p_xs.T)
     p_flat = p_joint.ravel()
     p_cond = np.ascontiguousarray(p_x_given_s.T)
     p_s = p_joint.sum(axis=1)
     product = p_joint[:, :, None]
+    ceilings = np.ndim(level) == 1
+    per_output = p_flat @ d if ceilings else None
     loop = _Loop(options, "exact", selection_enabled=False)
     tolerance = options.objective_tolerance
     max_t = options.max_iterations
 
     def alternate(q, tau, step0) -> _Round:
         log_q = _log(q)
-        tau, w = _newton_tilt(
-            lambda x: _tilt_at(p_flat, log_q, d, level, x), tau, step0)
+        if ceilings:
+            tau, w = _ceiling_tilt(p_flat, log_q, d, level, tau)
+        else:
+            tau, w = _newton_tilt(
+                lambda x: _tilt_at(p_flat, log_q, d, level, x), tau, step0)
         joint = product * w
         q_next = (p_cond[:, None, :] @ w)[:, 0]
         log_z, c = _blahut_terms(p_cond, log_q, tau, d)
         max_log_c = _log(c).max(axis=1)
         # under a ceiling the bound needs tau <= 0, which holds: a
-        # binding level lies below the product channels' mean distortion
-        bound = tau * level - float(p_flat @ log_z.ravel()) \
-            - float(p_s @ max_log_c)
+        # binding pinned level lies below the product channels' mean
+        # distortion, and _ceiling_tilt keeps its slopes non-positive
+        bound = (float(tau @ level) if ceilings else tau * level) \
+            - float(p_flat @ log_z.ravel()) - float(p_s @ max_log_c)
+        if ceilings:
+            distortion = np.einsum("sxy,ixy->i", joint, d)
+            residual = max(0.0, float((distortion - level).max()))
+        else:
+            distortion = float(np.sum(joint * d))
+            residual = abs(distortion - level)
         return _Round(
             tau, w, q_next, kl_divergence(joint, product * q[:, None, :]),
             kl_divergence(joint, product * q_next[:, None, :]),
-            float(np.sum(joint * d)), bound, c)
+            distortion, residual, bound, c)
 
-    def finish(r: _Round, step0) -> Optional[_Round]:
+    def candidates(r: _Round):
+        """The points ``(q, tau)`` that :func:`finish` tries."""
+        if ceilings:
+            # slopes that vanish in the limit: a product may meet them
+            q0 = _product_point(per_output, level, r.output_marginal[0],
+                                r.tau < 0.0)
+            if q0 is not None:
+                yield q0[None], np.zeros_like(r.tau)
         support = None
         for delta in _FINISH_DELTAS:
             guess = r.c >= 1.0 - delta
@@ -592,26 +827,36 @@ def _tilt_loop(p_xs, p_x_given_s, d, level: float, q, mode: str,
             support = guess
             point = _kkt_point(p_joint, p_cond, d, level, support,
                                r.output_marginal, r.tau)
-            if point is None:
+            if point is not None:
+                yield point
+
+    def finish(r: _Round, step0) -> Optional[_Round]:
+        for point in candidates(r):
+            try:
+                candidate = alternate(*point, step0)
+            except (ConvergenceError, InfeasibleError):
+                # ceilings that no channel on the guessed support meets
                 continue
-            candidate = alternate(*point, step0)
             gap = candidate.objective - candidate.lower_bound
-            if math.isfinite(gap) and gap <= tolerance:
+            if math.isfinite(gap) and gap <= tolerance and not (
+                    ceilings and candidate.residual > _FEAS_TOL):
                 return candidate
         return None
 
     def record(t, r: _Round, finish: bool = False) -> bool:
-        return loop.record(t, None, None, None, [r.tau], r.pre_e,
-                           r.objective, abs(r.distortion - level), 0.0,
+        return loop.record(t, None, None, None,
+                           r.tau if ceilings else [r.tau],
+                           r.pre_e, r.objective, r.residual, 0.0,
                            lower_bound=r.lower_bound, finish=finish)
 
-    tau = 0.0
+    tau = np.zeros(len(level)) if ceilings else 0.0
     step0 = 1.0
     t = 1
     while t < max_t:
         t += 1
         r = alternate(q, tau, step0)
-        step0 = max(1e-8, 4.0 * abs(r.tau - tau))
+        if not ceilings:
+            step0 = max(1e-8, 4.0 * abs(r.tau - tau))
         stop = record(t, r)
         if not (stop or t == max_t or (t - 1) % _FINISH_EVERY):
             kkt = finish(r, step0)
@@ -891,13 +1136,29 @@ def solve_rd_side_info(p_xs, distortion, level: float,
 
 def solve_rd_multi(p_x, distortions: Sequence, levels: Sequence,
                    options: Optional[EmOptions] = None) -> RdSolution:
-    """Several simultaneous distortion ceilings (inequality mode).
+    """Minimize mutual information under several simultaneous
+    distortion ceilings ``E d_i <= levels[i]``, any number of them.
 
-    The feasible joints form a closed convex mixture set; its
-    m-projection enumerates the subsets of constraints as boundary
-    facets (the empty subset first, then subsets in binary-counter
-    order).  Subsets whose directions are linearly dependent cannot
-    host a projection and are skipped at construction.
+    The certified loop of :func:`solve_rd` (:func:`_tilt_loop`) with one
+    slope per ceiling: each round tilts the output law by
+    ``exp(sum_i tau_i d_i)`` with every ``tau_i <= 0``, the maximizer of
+    the concave dual found by projected Newton (:func:`_ceiling_tilt`),
+    which makes the tilted channel the KL-projection of the product
+    onto the ceilings.  The loop stops once the rate is within
+    ``objective_tolerance`` of Blahut's bound for several ceilings, and
+    every five rounds tries to finish with Newton's method on the
+    optimality conditions over a guessed support and the ceilings with
+    a negative slope.
+
+    ``active_constraints`` are the ceilings with a negative slope, and
+    ``tau`` holds their slopes in that order: Blahut slopes, each <= 0,
+    so ``tau . levels - sum_x p(x) log sum_y q(y) e^{tau . d(x, y)} -
+    max_y log c_y`` over those ceilings is a lower bound on the rate.
+    The records hold all m slopes.  ``distortion`` holds one mean per
+    ceiling and ``constraint_residual`` the largest excess over a
+    ceiling, at least 0.  Ceilings that no channel meets together raise
+    ``InfeasibleError``.  When one output meets every ceiling the rate
+    is zero and no round runs.
     """
     p_x = _check_distribution(np.asarray(p_x, dtype=float), "p_x")
     matrices = [_check_matrix(d, p_x.size) for d in distortions]
@@ -906,76 +1167,40 @@ def solve_rd_multi(p_x, distortions: Sequence, levels: Sequence,
         raise ArgumentError("at least one constraint is required")
     if m != len(levels):
         raise ArgumentError("one level per distortion matrix")
-    if m > 20:
-        raise ArgumentError("at most 20 simultaneous constraints are "
-                            "supported")
     n2 = matrices[0].shape[1]
     for d in matrices[1:]:
         if d.shape[1] != n2:
             raise ArgumentError("all constraints must share the output "
                                 "alphabet")
-    levels = [_check_level(level, float(p_x @ d.min(axis=1)), math.inf,
-                           "inequality")
-              for d, level in zip(matrices, levels)]
+    levels = np.array([_check_level(level, float(p_x @ d.min(axis=1)),
+                                    math.inf, "inequality")
+                       for d, level in zip(matrices, levels)])
+    d = np.stack(matrices)
 
-    per_output = np.stack([p_x @ d for d in matrices])
-    slack_columns = np.all(
-        per_output <= np.asarray(levels)[:, None] + _FEAS_TOL, axis=0)
+    per_output = p_x @ d
+    slack_columns = np.all(per_output <= levels[:, None] + _FEAS_TOL, axis=0)
     if np.any(slack_columns):
         y = int(np.argmax(slack_columns))
         q = np.zeros(n2)
         q[y] = 1.0
-        w = np.tile(q, (p_x.size, 1))
-        distortion_value = per_output[:, y].copy()
         return RdSolution(
-            rate=0.0, channel=w, output_marginal=q, tau=np.zeros(0),
-            distortion=distortion_value, constraint_residual=0.0,
-            iterations=0, converged=True, mode="inequality",
+            rate=0.0, channel=np.tile(q, (p_x.size, 1)), output_marginal=q,
+            tau=np.zeros(0), distortion=per_output[:, y].copy(),
+            constraint_residual=0.0, iterations=0, converged=True,
+            mode="inequality",
             trace=EmTrace(records=[], final_index=0, final_theta=None,
-                          converged=True, mode="closed_convex"),
+                          converged=True, mode="exact"),
             active_constraints=())
 
-    options = _options(options, 1000)
-    options = _with_reference(options, math.log(n2))
-    system = ConditionalSystem(p_x, n2)
-    exp_family = _product_family(system)
-    pairs = [conditional_expectation_constraint(p_x, d, level)
-             for d, level in zip(matrices, levels)]
-    inequalities = tuple(LinearInequality(direction, target)
-                         for direction, target in pairs)
-    facets = []
-    subsets: list[tuple] = [()]
-    for mask in range(1, 2 ** m):
-        active = tuple(i for i in range(m) if mask >> i & 1)
-        try:
-            base = MixtureSubfamily(
-                np.stack([pairs[i][0] for i in active]),
-                np.array([pairs[i][1] for i in active]))
-        except RankError:
-            continue
-        facets.append(ClosedConvexMixtureFamily(
-            base=base, label="{" + ",".join(map(str, active)) + "}"))
-        subsets.append(active)
-    family = ClosedConvexMixtureFamily(base=None, inequalities=inequalities,
-                                       facets=tuple(facets), label="all")
-
-    trace = run_em_closed_convex(system, exp_family, family,
-                                 np.zeros(system.dim), options)
-    theta_final = trace.final_theta
-    w = system.channel(theta_final)
-    q = p_x @ w
-    rate = mutual_information(p_x[:, None] * w)
-    distortion_value = np.array([_mean_distortion(p_x, w, d)
-                                 for d in matrices])
-    final_record = trace.record_for(trace.final_index)
-    active = subsets[final_record.facet_index] \
-        if final_record.facet_index is not None else None
-    return RdSolution(
-        rate=rate, channel=w, output_marginal=q, tau=final_record.tau,
-        distortion=distortion_value,
-        constraint_residual=final_record.constraint_residual,
-        iterations=trace.records[-1].t, converged=trace.converged,
-        mode="inequality", trace=trace, active_constraints=active)
+    options = _with_reference(_options(options, 1000), math.log(n2))
+    p = p_x[:, None]
+    solution = _tilt_loop(p, p, d, levels, np.full((1, n2), 1.0 / n2),
+                          "inequality", None, options)
+    active = np.flatnonzero(solution.tau < 0.0)
+    return replace(solution, channel=solution.channel[0],
+                   output_marginal=solution.output_marginal[0],
+                   tau=solution.tau[active],
+                   active_constraints=tuple(active.tolist()))
 
 
 def solve_rd_fulldim(p_x, distortion, level: float, mode: str = "equality",

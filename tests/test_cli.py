@@ -301,6 +301,36 @@ def test_schema_errors_name_the_field(tmp_path, capsys):
         assert needle in err
 
 
+@pytest.mark.parametrize("field, data", [
+    ("payload.level", {**RD_PROBLEM, "payload": {**RD_PROBLEM["payload"],
+                                                 "level": "abc"}}),
+    ("payload.level", {**RD_PROBLEM, "payload": {**RD_PROBLEM["payload"],
+                                                 "level": [0.1]}}),
+    ("options.max_iterations", {**RD_PROBLEM,
+                                "options": {"max_iterations": "x"}}),
+], ids=["level-text", "level-list", "max-iterations-text"])
+def test_fields_that_are_not_numbers_exit_1(field, data, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run",
+                             str(write_problem(tmp_path, data)))
+    assert code == 1
+    assert out == ""
+    assert field in err and "number" in err
+
+
+def test_jointly_unreachable_ceilings_exit_2(tmp_path, capsys):
+    # each ceiling alone is reachable, but E d1 + E d2 = 1 > 0.4
+    d1 = [[0.0, 1.0], [1.0, 0.0]]
+    problem = {**RD_MULTI_PROBLEM, "payload": {
+        "p_x": [0.5, 0.5], "distortions": [d1, (1.0 - np.array(d1)).tolist()],
+        "levels": [0.2, 0.2]}}
+    code, out, _ = run_cli(capsys, "run",
+                           str(write_problem(tmp_path, problem)))
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "infeasible"
+    assert "ceiling" in report["error"]
+
+
 def test_unreadable_problem_files(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
@@ -578,6 +608,11 @@ def test_rd_multi_kind(tmp_path, capsys):
     assert summary["mode"] == "inequality"
     assert summary["active_constraints"] == [0]
     assert isinstance(summary["distortion"], list)
+    # the certified loop reports its gap and writes a gap column
+    assert abs(summary["gap_nats"]) <= 1e-10
+    trace = tmp_path / "multi.csv"
+    assert run_cli(capsys, "run", str(path), "--trace", str(trace))[0] == 0
+    assert trace.read_text().splitlines()[0].split(",")[-1] == "gap"
     code, _, err = run_cli(capsys, "run", str(path), "--mode", "equality")
     assert code == 1 and "inequality" in err
     code, _, err = run_cli(capsys, "run", str(path), "--eps", "0.01")

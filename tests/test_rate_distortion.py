@@ -309,9 +309,11 @@ def test_multi_zero_rate_and_validation():
         solve_rd_multi(P_X, [D_MATRIX, D_MATRIX[:, :2]], [0.5, 0.6])
     with pytest.raises(InfeasibleError):
         solve_rd_multi(P_X, [D_MATRIX], [-1.0])
+    # any number of ceilings: 21 copies of one give its single rate
     toy = 1.0 - np.eye(2)
-    with pytest.raises(ArgumentError):
-        solve_rd_multi([0.5, 0.5], [toy] * 21, [0.4] * 21)
+    many = solve_rd_multi([0.5, 0.5], [toy] * 21, [0.4] * 21)
+    single = solve_rd([0.5, 0.5], toy, 0.4, mode="inequality")
+    assert many.rate == pytest.approx(single.rate, abs=1e-9)
 
 
 # --------------------------------------------- full-simplex cross run
