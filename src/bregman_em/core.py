@@ -163,10 +163,19 @@ def damped_newton(value: Callable, grad: Callable, hess: Callable,
     """Minimize a smooth convex function by damped Newton steps.
 
     Step lengths are halved until the iterate stays inside ``domain``
-    and satisfies an Armijo decrease condition.  Raises DomainError
-    when iterates blow up (the operational signal that the infimum is
-    not attained) and ConvergenceError when progress stalls or the
-    iteration cap is reached.
+    and satisfies an Armijo decrease condition.  The iteration stops
+    at the first of two tests:
+
+    - ``max|grad| <= gradient_tolerance``: the iterate is returned;
+    - the step's predicted decrease ``-grad . step / 2`` (half the
+      squared Newton decrement, Boyd & Vandenberghe 2004, sec. 9.5) is
+      at most ``1e-14 * (1 + |value|)``, below what the value can
+      resolve: the full step is taken if it stays inside ``domain``,
+      and that point is returned.
+
+    Raises DomainError when iterates blow up (the operational signal
+    that the infimum is not attained) and ConvergenceError when
+    progress stalls or the iteration cap is reached.
     """
     x = np.asarray(x0, dtype=float).copy()
     if domain is not None and not domain(x):
@@ -198,6 +207,15 @@ def _newton_loop(value, grad, hess, x, fx, domain, gradient_tolerance,
         # value; without this allowance every candidate ties fx and the
         # search stalls one step short of the tolerance.
         noise = 1e-15 * (1.0 + abs(fx))
+        if -0.5 * slope <= 10.0 * noise:
+            # the predicted decrease is below what the value resolves:
+            # the full step is the best estimate, but no line search can
+            # confirm it
+            candidate = x + step
+            if (domain is None or domain(candidate)) and np.all(
+                    np.isfinite(candidate)):
+                return candidate
+            return x
         s = 1.0
         while True:
             candidate = x + s * step

@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BregmanSystem
+from . import core
 from .em import EmOptions, EmTrace, _Loop, _options
-from .errors import (ArgumentError, ConvergenceError, InfeasibleError,
+from .errors import (ArgumentError, DomainError, InfeasibleError,
                      NotPositiveDefiniteError, RankError)
 from .rate_distortion import _check_level, _check_mode, _zero_rate_weight
 
@@ -202,7 +202,7 @@ def relative_entropy(rho, sigma) -> float:
     return 0.0 if value < 1e-14 else value
 
 
-class QuantumSystem(BregmanSystem):
+class QuantumSystem(core.BregmanSystem):
     """Bregman system of full-rank states on a fixed dimension.
 
     Natural coordinates are the coefficients on the orthogonal
@@ -337,46 +337,6 @@ class QrdSolution:
     feasibility: QrdFeasibility
 
 
-def _clamped_newton(value, grad, hess, x0, gradient_tolerance=1e-10,
-                    max_iterations=200):
-    """Damped Newton with an eigenvalue-clamped Hessian solve.
-
-    The Hessian of a log-partition restriction is positive semidefinite
-    but may be nearly singular; eigenvalues are clamped at 1e-12 before
-    inverting.  Armijo backtracking with slope 1e-4; iterate blow-up
-    past norm 1e8 reports unreachable constraint targets.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    fx = value(x)
-    for _ in range(max_iterations):
-        g = grad(x)
-        if float(np.max(np.abs(g))) <= gradient_tolerance:
-            return x
-        h = np.asarray(hess(x), dtype=float)
-        s_eig, v_eig = np.linalg.eigh(0.5 * (h + h.T))
-        step = -v_eig @ ((v_eig.T @ g) / np.clip(s_eig, 1e-12, None))
-        slope = float(g @ step)
-        if slope >= 0.0:
-            step = -g
-            slope = -float(g @ g)
-        # allowance for sub-ulp decreases, as in core.damped_newton
-        noise = 1e-15 * (1.0 + abs(fx))
-        s = 1.0
-        while True:
-            candidate = x + s * step
-            fc = value(candidate)
-            if np.isfinite(fc) and fc <= fx + 1e-4 * s * slope + noise:
-                break
-            s *= 0.5
-            if s < 1e-20:
-                raise ConvergenceError("line search stalled")
-        x = candidate
-        fx = fc
-        if float(np.linalg.norm(x)) > 1e8:
-            raise InfeasibleError("constraint targets are not reachable")
-    raise ConvergenceError("Newton did not reach the gradient tolerance")
-
-
 def _qrd_zero_rate(rho_r, delta, delta_b, report: QrdFeasibility,
                    level: float, mode: str) -> Optional[QrdSolution]:
     """Rate-zero answer ``rho_r (x) sigma``, or None: ``sigma`` mixes the
@@ -419,13 +379,15 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
     since the iteration works with its logarithm), ``delta`` a
     Hermitian distortion observable on the tensor product (its size
     determines the second factor).  Each m-step solves the constrained
-    divergence minimization by a Newton iteration over the constraint
-    multipliers; the e-step replaces the iterate by the product of
-    ``rho_r`` with its own second marginal.  The rate is the relative
-    entropy between the final joint state and that product.  The
-    records hold scalars only (each ``constraint_residual`` is the
-    largest multiplier-gradient entry, i.e. the marginal and distortion
-    residual of the m-step) and ``trace.final_theta`` is None.
+    divergence minimization by :func:`core.damped_newton` over the
+    constraint multipliers, whose divergence means a marginal and level
+    no joint state reaches (``InfeasibleError``); the e-step replaces
+    the iterate by the product of ``rho_r`` with its own second
+    marginal.  The rate is the relative entropy between the final joint
+    state and that product.  The records hold scalars only (each
+    ``constraint_residual`` is the largest multiplier-gradient entry,
+    i.e. the marginal and distortion residual of the m-step) and
+    ``trace.final_theta`` is None.
     """
     _check_mode(mode)
     rho_r = DensityMatrix(rho_r).matrix
@@ -496,7 +458,11 @@ def solve_qrd(rho_r, delta, level: float, mode: str = "equality",
         def psi_hess(coeffs):
             return _gibbs_hessian(combined(coeffs), operators)
 
-        tau = _clamped_newton(psi, psi_grad, psi_hess, tau)
+        try:
+            tau = core.damped_newton(psi, psi_grad, psi_hess, tau)
+        except DomainError as exc:
+            raise InfeasibleError(
+                f"constraint targets are not reachable: {exc}") from exc
         rho_m = _gibbs_state(combined(tau))
         pre_e = relative_entropy(rho_m, rho_e)
         rho_b = partial_trace(rho_m, (d_r, d_b), 0)

@@ -532,7 +532,8 @@ def _ceiling_tilt(p, log_q, d, level, tau) -> tuple[np.ndarray, np.ndarray]:
                 newton = grad[free] * (cap / np.abs(grad[free]).max())
             longest = np.abs(newton).max()
             step[free] = newton * (cap / longest if longest > cap else 1.0)
-        slack = _PHI_ROUND * (1.0 + abs(phi) + float(np.abs(tau) @ level))
+        slack = _PHI_ROUND * (1.0 + abs(phi)
+                              + float(np.abs(tau) @ np.abs(level)))
         alpha = 1.0
         for _ in range(_ARMIJO_HALVINGS):
             trial = np.where(held, 0.0, np.minimum(tau + alpha * step, 0.0))

@@ -9,6 +9,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import bregman_em.cli  # noqa: F401  (install looks the module up)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -52,3 +54,27 @@ def test_bench_shims_wrap_and_restore_every_name(tmp_path, capsys):
     assert "print" not in cli.__dict__
     assert recorder.counts["cli.trace_bytes"] == os.path.getsize(trace)
     assert recorder.counts["rate_distortion.rounds"] >= 1
+
+
+def test_traced_solve_qrd_records_its_newton_spans():
+    # solve_qrd looks its m-step up as core.damped_newton, the name the
+    # traced run wraps, so each round's multiplier solve is a span
+    tracing = load_tracing()
+    api = sys.modules["bregman_em"]
+    bell = np.zeros(4)
+    bell[0] = bell[3] = 2.0 ** -0.5
+    recorder = tracing.Recorder()
+    saved = tracing.install(recorder)
+    try:
+        solution = api.solve_qrd(np.eye(2) / 2.0,
+                                 np.eye(4) - np.outer(bell, bell), 0.5)
+    finally:
+        tracing.uninstall(saved)
+
+    names = [name for name, *_ in recorder.spans]
+    solve = names.index("quantum.solve_qrd")
+    newton = [parent for name, _, _, parent in recorder.spans
+              if name == "core.damped_newton"]
+    assert len(newton) == solution.iterations - 1
+    assert set(newton) == {solve}
+    assert recorder.counts["core.newton_grad_evals"] > len(newton)

@@ -559,6 +559,25 @@ def test_qrd_kind(capsys, tmp_path):
     assert float(last["constraint_residual_max"]) < 1e-6
 
 
+def test_qrd_unreachable_level_exits_2(tmp_path, capsys):
+    # inside the observable's spectrum, but no joint state with this
+    # reference marginal reaches it: infeasible, not malformed input
+    def interleaved(diagonal):
+        return np.stack([np.diag(diagonal), np.zeros((len(diagonal),) * 2)],
+                        axis=-1).ravel().tolist()
+
+    problem = {"schema_version": "1", "kind": "qrd",
+               "payload": {"rho_r": interleaved([0.9, 0.1]), "d_r": 2,
+                           "d_b": 2, "delta": interleaved([0.0, 1.0, 1.0,
+                                                           1.0]),
+                           "level": 0.05, "mode": "equality"},
+               "options": {}}
+    code, out, _ = run_cli(capsys, "run",
+                           str(write_problem(tmp_path, problem)))
+    assert code == 2
+    assert json.loads(out)["status"] == "infeasible"
+
+
 def test_em_generic_kind(tmp_path, capsys):
     path = write_problem(tmp_path, EM_GENERIC_PROBLEM)
     code, out, _ = run_cli(capsys, "run", str(path))

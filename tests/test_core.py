@@ -1,6 +1,8 @@
 """Bregman systems: divergence identities checked against closed
 forms and an independent quadrature oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,21 @@ def test_damped_newton_respects_domain():
             hess=lambda x: np.array([[1.0 / x[0] ** 2]]),
             x0=np.array([1.0]),
             domain=lambda x: x[0] > 0.0)
+
+
+def test_damped_newton_stops_on_the_gradient_rounding_floor():
+    # minimize 1e8 (cosh x - 1) - c x: next to the minimizer the
+    # computed gradient moves in steps of 1e8 cosh(x) ulp(x), about
+    # 3e-8, and never reaches 1e-10 there; the Newton decrement drops
+    # below the value's rounding instead
+    scale, c = 1e8, 1.234567e8
+    x = damped_newton(
+        value=lambda x: scale * (math.cosh(x[0]) - 1.0) - c * x[0],
+        grad=lambda x: np.array([scale * math.sinh(x[0]) - c]),
+        hess=lambda x: np.array([[scale * math.cosh(x[0])]]),
+        x0=np.array([0.0]))
+    assert x[0] == pytest.approx(math.asinh(c / scale), abs=1e-15)
+    assert abs(scale * math.sinh(x[0]) - c) > 1e-10
 
 
 def test_system_validation():

@@ -215,6 +215,28 @@ def test_duplicated_ceiling_is_one_ceiling():
     assert loose.rate == pytest.approx(single.rate, abs=1e-12)
 
 
+SHIFT_P = np.array([0.5, 0.3, 0.2])
+SHIFT_D = [np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+           np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [3.0, 0.0, 1.0]])]
+
+
+@pytest.mark.parametrize("p, ds, levels", [
+    (SHIFT_P, SHIFT_D[:1], [0.3]),
+    (SHIFT_P, SHIFT_D, [0.3, 0.8]),
+    (np.array(MULTI_N3[2]["p_x"]),
+     [np.array(d) for d in MULTI_N3[2]["distortions"]], MULTI_N3[2]["levels"]),
+], ids=["m1", "m2", "m3"])
+def test_shifted_levels_give_the_same_answer(p, ds, levels):
+    # E d_i <= D_i and E (d_i - 3) <= D_i - 3 are one ceiling; negative
+    # levels must not change how the dual's rounding is allowed for
+    sol = solve_rd_multi(p, ds, levels)
+    shifted = solve_rd_multi(p, [d - 3.0 for d in ds],
+                             [level - 3.0 for level in levels])
+    check(shifted, p, [d - 3.0 for d in ds], np.array(levels) - 3.0)
+    assert shifted.rate == pytest.approx(sol.rate, abs=1e-12)
+    assert shifted.active_constraints == sol.active_constraints
+
+
 def test_jointly_unreachable_ceilings_are_infeasible():
     # each ceiling alone is reachable, but E d1 + E d2 = 1 > 0.4
     d1 = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -2,8 +2,10 @@
 basis algebra, entropy oracles, classical embeddings, and the
 maximally-entangled instance with its closed-form optimum."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,19 @@ D_MATRIX = np.array([[0.0, 1.0, 2.0],
 BELL = np.zeros(4)
 BELL[0] = BELL[3] = 1.0 / math.sqrt(2.0)
 BELL_PROJECTOR = np.outer(BELL, BELL)
+
+
+def complex_matrix(parts):
+    return np.array(parts[0]) + 1j * np.array(parts[1])
+
+
+# three of the benchmark's qrd instances at seed 1, each matrix stored
+# as its real and imaginary parts
+QRD_SEED1 = {
+    case["name"]: (complex_matrix(case["rho_r"]),
+                   complex_matrix(case["delta"]), case["level"])
+    for case in json.loads((Path(__file__).resolve().parent / "data"
+                            / "qrd_seed1.json").read_text())}
 
 
 def random_state(rng, dim):
@@ -409,6 +424,11 @@ def test_qrd_infeasible_and_validation():
     with pytest.raises(InfeasibleError):
         solve_qrd(rho_r, delta, -0.5, mode="inequality")
     assert solve_qrd(rho_r, delta, 0.9, mode="inequality").rate == 0.0
+    # 0.05 lies inside the spectrum [0, 1], but the pinned marginal puts
+    # weight at least 0.1 on the 1-eigenspace: the m-step's multipliers
+    # diverge
+    with pytest.raises(InfeasibleError):
+        solve_qrd(np.diag([0.9, 0.1]), np.diag([0.0, 1.0, 1.0, 1.0]), 0.05)
     with pytest.raises(ArgumentError):
         solve_qrd(rho_r, delta, 0.5, mode="at_most")
     with pytest.raises(ArgumentError):
@@ -419,6 +439,58 @@ def test_qrd_infeasible_and_validation():
         solve_qrd(np.eye(8) / 8.0, np.eye(72), 30.0)
     with pytest.raises(ArgumentError):
         solve_qrd(rho_r, delta, 0.5, options=EmOptions(max_iterations=1))
+
+
+@pytest.mark.parametrize("name", ["qrd-diagonal-n2-16", "qrd-2x2-1",
+                                  "qrd-2x3-12"])
+def test_qrd_m_step_stops_on_the_gradient_rounding_floor(name):
+    # the m-step's max|g| bottoms out above 1e-10 on the first two, so
+    # only the Newton decrement stop ends their multiplier solves; the
+    # third stalls if that stop sits at the line search's own allowance
+    rho_r, delta, level = QRD_SEED1[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = solve_qrd(rho_r, delta, level)
+    assert s.converged
+    assert np.isfinite(s.rate) and s.rate > 0.0
+    assert np.all(np.isfinite(s.state))
+    assert s.distortion == pytest.approx(level, abs=1e-9)
+    d_r = rho_r.shape[0]
+    marginal = partial_trace(s.state, (d_r, delta.shape[0] // d_r), 1)
+    assert np.max(np.abs(marginal - rho_r)) <= 1e-9
+
+
+@st.composite
+def small_qrd_instances(draw):
+    """A seeded reference state and observable on 2x2 to 3x3, and a
+    level anywhere in (or just outside) the observable's spectrum."""
+    d_r, d_b = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho_r = random_state(rng, d_r)
+    g = rng.standard_normal((d_r * d_b,) * 2) \
+        + 1j * rng.standard_normal((d_r * d_b,) * 2)
+    delta = 0.5 * (g + g.conj().T)
+    lam = np.linalg.eigvalsh(delta)
+    fraction = draw(st.floats(-0.05, 1.05))
+    return rho_r, delta, lam[0] + fraction * (lam[-1] - lam[0])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(instance=small_qrd_instances(),
+       mode=st.sampled_from(["equality", "inequality"]))
+def test_qrd_battery_is_finite_or_documented(instance, mode):
+    # an answer is finite; a failure is an unreachable level, never a
+    # stalled m-step, a DomainError or a numpy error
+    rho_r, delta, level = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = solve_qrd(rho_r, delta, level, mode=mode,
+                          options=EmOptions(max_iterations=200))
+        except InfeasibleError:
+            return
+    assert np.isfinite(s.rate) and s.rate >= 0.0
+    assert np.all(np.isfinite(s.state)) and np.all(np.isfinite(s.tau))
 
 
 def test_qrd_rank_check_rejects_dependent_observable():
